@@ -67,7 +67,8 @@ pub struct RowBudgets {
     pub valid_set_limit: usize,
     /// Family representation for GPO.
     pub representation: Representation,
-    /// Worker threads for the GPO exploration (1 = serial loop).
+    /// Worker threads for the GPO exploration (1 = a single worker in the
+    /// calling thread).
     pub threads: usize,
     /// Skip the BDD engine entirely (for rows where it is hopeless).
     pub skip_bdd: bool,

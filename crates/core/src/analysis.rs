@@ -18,16 +18,15 @@
 //!    over one fully-enabled maximal conflicting set if one exists, else
 //!    over every single-enabled transition.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use petri::checkpoint::{write_checkpoint, ByteReader, ByteWriter, CheckpointError, EngineKind};
-use petri::parallel::{explore_frontier_seeded, FrontierOptions, FrontierSeed};
+use petri::checkpoint::{ByteReader, ByteWriter, CheckpointError, EngineKind};
+use petri::parallel::{explore_frontier_seeded, FrontierOptions, FrontierResult};
 use petri::{
-    Budget, CheckpointConfig, ConflictInfo, CoverageStats, ExhaustionReason, Marking, Outcome,
-    PetriNet, PlaceId, Snapshot, TransitionId,
+    Budget, CheckpointConfig, ConflictInfo, Marking, Outcome, PetriNet, PlaceId, Snapshot,
+    TransitionId,
 };
 
 use crate::error::GpoError;
@@ -80,11 +79,11 @@ pub struct GpoOptions {
     pub representation: Representation,
     /// How many deadlock witness markings to materialize (0 disables).
     pub max_witnesses: usize,
-    /// Worker threads for the exploration. `1` (the default) runs the
-    /// historical serial loop; larger values ride the shared parallel
-    /// frontier engine. The explored state set, the verdict, the witness
-    /// markings, and the work counters of a complete run are identical
-    /// for every thread count.
+    /// Worker threads for the shared frontier engine. `1` (the default)
+    /// runs a single worker in the calling thread, which numbers GPN
+    /// states in breadth-first discovery order. The explored state set,
+    /// the verdict, the witness markings, and the work counters of a
+    /// complete run are identical for every thread count.
     pub threads: usize,
     /// Safety query: places whose *simultaneous* marking is the bad
     /// condition (the paper's §4 remark that safety checks reduce to this
@@ -274,7 +273,7 @@ pub fn analyze_checkpointed(
 fn run<F: SetFamily>(
     net: &PetriNet,
     opts: &GpoOptions,
-    real_budget: &Budget,
+    budget: &Budget,
     ckpt: &CheckpointConfig,
     resume: Option<&Snapshot>,
 ) -> Result<Outcome<GpoReport>, GpoError> {
@@ -285,79 +284,36 @@ fn run<F: SetFamily>(
     let valid_set_count = s0.valid().count();
     let engine = engine_kind(opts.representation);
 
-    let counters = Counters::default();
-    let (mut prior, base_elapsed) = match resume {
+    let (prior, counters, base_elapsed) = match resume {
         Some(snap) => {
-            let (explored, elapsed) = from_snapshot::<F>(net, &ctx, engine, snap, &s0, &counters)
+            let (explored, counters, elapsed) = from_snapshot::<F>(net, &ctx, engine, snap, &s0)
                 .map_err(|e| GpoError::Checkpoint(e.to_string()))?;
-            (Some(explored), elapsed)
+            (Some(explored), counters, elapsed)
         }
-        None => (None, Duration::ZERO),
+        None => (None, Counters::default(), Duration::ZERO),
     };
-
-    // segmented exploration: with a periodic checkpoint configured, each
-    // segment caps stored states at `stored + every`, snapshots the
-    // quiesced exploration on the synthetic exhaustion, and continues
-    // in-process; a real exhaustion also snapshots, then surfaces
-    let explored = loop {
-        let mut segment = real_budget.clone();
-        if let (Some(every), Some(_)) = (ckpt.every, &ckpt.path) {
-            let stored = prior.as_ref().map_or(1, |p: &Explored<F>| p.states.len());
-            segment.max_states = segment.max_states.min(stored.saturating_add(every.max(1)));
-        }
-        let mut explored = if opts.threads > 1 {
-            explore_parallel(
+    let outcome = ckpt.run_segments(
+        budget,
+        prior,
+        |p: &Explored<F>| p.graph.states.len(),
+        |segment, prior| explore(net, &conflicts, s0.clone(), opts, segment, &counters, prior),
+        |explored| {
+            to_snapshot(
                 net,
-                &conflicts,
-                s0.clone(),
-                opts,
-                &segment,
-                &counters,
-                prior.take(),
-            )?
-        } else {
-            explore_serial(
-                net,
-                &conflicts,
                 &ctx,
-                s0.clone(),
-                &segment,
+                engine,
+                explored,
                 &counters,
-                prior.take(),
+                base_elapsed + start.elapsed(),
             )
-        };
-        match explored.exhausted.take() {
-            None => break explored,
-            Some((_, coverage)) => {
-                if let Some(path) = &ckpt.path {
-                    let mut snap = to_snapshot(
-                        net,
-                        &ctx,
-                        engine,
-                        &explored,
-                        &counters,
-                        base_elapsed + start.elapsed(),
-                    );
-                    ckpt.annotate(&mut snap);
-                    write_checkpoint(path, &snap).map_err(|e| {
-                        GpoError::Checkpoint(format!("writing {}: {e}", path.display()))
-                    })?;
-                }
-                match real_budget.exceeded(coverage.states_stored, coverage.bytes_estimate) {
-                    None => prior = Some(explored),
-                    Some(real_reason) => {
-                        explored.exhausted = Some((real_reason, coverage));
-                        break explored;
-                    }
-                }
-            }
-        }
-    };
+        },
+    )?;
+    let explored = outcome.value();
 
     let stats = F::context_stats(&ctx);
     let mut report = GpoReport {
-        state_count: explored.states.len(),
-        deadlock_possible: !explored.blocked.is_empty(),
+        state_count: explored.graph.states.len(),
+        deadlock_possible: !explored.graph.deadlocks.is_empty(),
         deadlock_witnesses: Vec::new(),
         valid_set_count,
         peak_footprint: counters.peak_footprint.load(Ordering::Relaxed),
@@ -376,12 +332,13 @@ fn run<F: SetFamily>(
         property: petri::Property::deadlock(),
     };
 
-    extract_witnesses(net, &explored, opts.max_witnesses, &mut report);
+    extract_witnesses(net, explored, opts.max_witnesses, &mut report);
     if !opts.coverage_query.is_empty() {
         // every stored state is genuinely reachable, so any hit is sound;
         // taking the minimum covering marking makes the answer independent
         // of the exploration order (and hence of the thread count)
         report.coverage_hit = explored
+            .graph
             .states
             .iter()
             .filter_map(|s| coverage_hit(net, s, &opts.coverage_query))
@@ -389,23 +346,25 @@ fn run<F: SetFamily>(
     }
 
     report.elapsed = base_elapsed + start.elapsed();
-    Ok(match explored.exhausted {
-        None => Outcome::Complete(report),
-        Some((reason, mut coverage)) => {
+    Ok(match outcome {
+        Outcome::Complete(_) => Outcome::Complete(report),
+        Outcome::Partial {
+            reason,
+            mut coverage,
+            ..
+        } => {
             coverage.elapsed = report.elapsed;
             Outcome::Partial {
                 result: report,
-                // re-classify at the stop: a cancel raised while the
-                // reason was latched must win deterministically
-                reason: real_budget.stop_reason(reason),
+                reason,
                 coverage,
             }
         }
     })
 }
 
-/// Work counters shared between the serial loop and the parallel workers.
-/// Each state is expanded exactly once and the per-state work is a pure
+/// Work counters shared by the exploration workers. Each state is expanded
+/// exactly once and the per-state work is a pure
 /// function of the state, so the relaxed sums are identical for every
 /// thread count on a complete run.
 #[derive(Default)]
@@ -429,123 +388,23 @@ impl Counters {
     }
 }
 
-/// What an exploration (serial or parallel) produced, before witness
-/// extraction and coverage queries.
+/// What an exploration produced, before witness extraction and coverage
+/// queries.
 struct Explored<F: SetFamily> {
-    /// Every discovered GPN state, dense ids with the initial state at 0.
-    states: Vec<GpnState<F>>,
+    /// The frontier engine's result: dense GPN state ids with the initial
+    /// state at 0, and expanded flags whose `false` entries are the
+    /// frontier a checkpointed run resumes from. A GPN state has no
+    /// successors exactly when its deadlock-possibility check fires (the
+    /// valid-set relation is never empty), so the engine's deadlock ids
+    /// are precisely the blocked states.
+    graph: FrontierResult<GpnState<F>, Firing>,
     /// How each state was first reached (for counterexample projection).
     pred: Vec<Option<(usize, Firing)>>,
-    /// Ids of expanded states whose deadlock-possibility check fired.
-    blocked: Vec<usize>,
-    /// Per-state "successors computed" flag; `false` entries are the
-    /// frontier a checkpointed run resumes from.
-    expanded: Vec<bool>,
-    /// Budget exhaustion, if the run is partial.
-    exhausted: Option<(ExhaustionReason, CoverageStats)>,
 }
 
-/// The historical breadth-first serial loop (exact same exploration order
-/// and budget-check placement as before the parallel engine existed),
-/// optionally continuing a prior partial exploration.
-fn explore_serial<F: SetFamily>(
-    net: &PetriNet,
-    conflicts: &ConflictInfo,
-    ctx: &F::Context,
-    s0: GpnState<F>,
-    budget: &Budget,
-    counters: &Counters,
-    prior: Option<Explored<F>>,
-) -> Explored<F> {
-    let start = Instant::now();
-    let (mut states, mut pred, mut blocked, mut expanded) = match prior {
-        Some(p) => (p.states, p.pred, p.blocked, p.expanded),
-        None => (vec![s0], vec![None], Vec::new(), vec![false]),
-    };
-    let mut index: HashMap<GpnState<F>, usize> = states
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.clone(), i))
-        .collect();
-    let mut worklist: VecDeque<usize> = (0..states.len()).filter(|&i| !expanded[i]).collect();
-    let mut expanded_count = states.len() - worklist.len();
-    let mut bytes: usize = states.iter().map(GpnState::footprint).sum();
-
-    let mut exhausted = None;
-    while let Some(&frontier) = worklist.front() {
-        if let Some(reason) = budget.exceeded(states.len(), bytes) {
-            exhausted = Some(reason);
-            break;
-        }
-        worklist.pop_front();
-        // take the state out instead of cloning it; the index still holds
-        // an equal key, so the dedup lookups during expansion are unaffected
-        let s = std::mem::replace(
-            &mut states[frontier],
-            GpnState::from_parts(Vec::new(), F::empty(ctx, net.transition_count())),
-        );
-        counters.observe_footprint(s.footprint());
-        let successors = expand(net, conflicts, &s, counters);
-        if successors.is_empty() {
-            blocked.push(frontier);
-        }
-        let mut aborted = None;
-        for (next, firing) in successors {
-            // re-check between successors so a single wide fan-out
-            // overshoots the budget by at most one state (mirrors the
-            // parallel engine's per-insertion check)
-            if let Some(reason) = budget.exceeded(states.len(), bytes) {
-                aborted = Some(reason);
-                break;
-            }
-            if let Entry::Vacant(e) = index.entry(next) {
-                bytes += e.key().footprint();
-                states.push(e.key().clone());
-                pred.push(Some((frontier, firing)));
-                expanded.push(false);
-                worklist.push_back(states.len() - 1);
-                e.insert(states.len() - 1);
-            }
-        }
-        states[frontier] = s;
-        if let Some(reason) = aborted {
-            // this state stays unexpanded so a resumed run re-expands it;
-            // successors stored before the trip keep their pred entry —
-            // the same discovery provenance the parallel engine keeps in
-            // its origin sidecar
-            exhausted = Some(reason);
-            break;
-        }
-        expanded[frontier] = true;
-        expanded_count += 1;
-    }
-
-    let exhausted = exhausted.map(|reason| {
-        (
-            reason,
-            CoverageStats {
-                states_stored: states.len(),
-                states_expanded: expanded_count,
-                frontier_len: states.len().saturating_sub(expanded_count),
-                bytes_estimate: bytes,
-                elapsed: start.elapsed(),
-            },
-        )
-    });
-    Explored {
-        states,
-        pred,
-        blocked,
-        expanded,
-        exhausted,
-    }
-}
-
-/// Runs the expansion over the shared parallel frontier engine. A GPN
-/// state has no successors exactly when its deadlock-possibility check
-/// fires (the valid-set relation is never empty), so the engine's
-/// deadlock ids are precisely the blocked states.
-fn explore_parallel<F: SetFamily>(
+/// Runs the expansion on the shared frontier engine, optionally continuing
+/// a prior partial exploration.
+fn explore<F: SetFamily>(
     net: &PetriNet,
     conflicts: &ConflictInfo,
     s0: GpnState<F>,
@@ -553,7 +412,7 @@ fn explore_parallel<F: SetFamily>(
     budget: &Budget,
     counters: &Counters,
     prior: Option<Explored<F>>,
-) -> Result<Explored<F>, GpoError> {
+) -> Result<Outcome<Explored<F>>, GpoError> {
     // the spread fills the cfg-gated fault-injection field in test builds
     #[allow(clippy::needless_update)]
     let fopts = FrontierOptions {
@@ -566,21 +425,11 @@ fn explore_parallel<F: SetFamily>(
         budget: budget.clone(),
         ..FrontierOptions::default()
     };
+    // prior parent pointers re-enter through `prior_pred`: a snapshot
+    // stores the reach tree, not the edge lists
     let (seed, prior_pred) = match prior {
-        Some(p) => (
-            FrontierSeed {
-                // the snapshot stores the reach tree, not the edge lists,
-                // so prior states get empty succ placeholders; their
-                // parent pointers re-enter through `prior_pred` below
-                succ: vec![Vec::new(); p.states.len()],
-                states: p.states,
-                expanded: p.expanded,
-                deadlocks: p.blocked.iter().map(|&b| b as u32).collect(),
-                edge_count: 0,
-            },
-            p.pred,
-        ),
-        None => (FrontierSeed::initial(s0), vec![None]),
+        Some(p) => (p.graph, p.pred),
+        None => (FrontierResult::initial(s0), vec![None]),
     };
     let outcome = explore_frontier_seeded(
         seed,
@@ -594,34 +443,22 @@ fn explore_parallel<F: SetFamily>(
             );
             Ok(())
         },
-    )
-    .map_err(GpoError::Engine)?;
-    let (result, exhausted) = match outcome {
-        Outcome::Complete(r) => (r, None),
-        Outcome::Partial {
-            result,
-            reason,
-            coverage,
-        } => (result, Some((reason, coverage))),
-    };
-    let mut pred = extend_reach_tree(prior_pred, &result.succ);
-    // a budget-aborted expansion rolls its recorded edges back, so states
-    // it discovered are invisible to the BFS above; their provenance comes
-    // from the engine's origin sidecar instead (a no-op on complete runs)
-    for (i, p) in pred.iter_mut().enumerate() {
-        if p.is_none() && i > 0 {
-            if let Some(Some((parent, firing))) = result.origin.get(i) {
-                *p = Some((*parent as usize, firing.clone()));
+    )?;
+    Ok(outcome.map(|graph| {
+        let mut pred = extend_reach_tree(prior_pred, &graph.succ);
+        // a budget-aborted expansion rolls its recorded edges back, so
+        // states it discovered are invisible to the BFS above; their
+        // provenance comes from the engine's origin sidecar instead (a
+        // no-op on complete runs)
+        for (i, p) in pred.iter_mut().enumerate() {
+            if p.is_none() && i > 0 {
+                if let Some(Some((parent, firing))) = graph.origin.get(i) {
+                    *p = Some((*parent as usize, firing.clone()));
+                }
             }
         }
-    }
-    Ok(Explored {
-        pred,
-        blocked: result.deadlocks.iter().map(|&d| d as usize).collect(),
-        expanded: result.expanded,
-        states: result.states,
-        exhausted,
-    })
+        Explored { graph, pred }
+    }))
 }
 
 /// Extends a (possibly restored) reach tree over freshly recorded edge
@@ -671,11 +508,12 @@ fn to_snapshot<F: SetFamily>(
     let mut w = ByteWriter::new();
     w.u32(net.place_count() as u32);
     w.u32(universe as u32);
-    w.usize(explored.states.len());
+    w.usize(explored.graph.states.len());
     snap.push_section(section::META, w.into_bytes());
 
-    let mut families: Vec<&F> = Vec::with_capacity(explored.states.len() * (net.place_count() + 1));
-    for s in &explored.states {
+    let states = &explored.graph.states;
+    let mut families: Vec<&F> = Vec::with_capacity(states.len() * (net.place_count() + 1));
+    for s in states {
         families.extend(s.marking().iter());
         families.push(s.valid());
     }
@@ -685,7 +523,7 @@ fn to_snapshot<F: SetFamily>(
     );
 
     let mut w = ByteWriter::new();
-    w.bools(&explored.expanded);
+    w.bools(&explored.graph.expanded);
     snap.push_section(section::EXPANDED, w.into_bytes());
 
     let mut w = ByteWriter::new();
@@ -711,9 +549,9 @@ fn to_snapshot<F: SetFamily>(
     snap.push_section(section::PRED, w.into_bytes());
 
     let mut w = ByteWriter::new();
-    w.usize(explored.blocked.len());
-    for &b in &explored.blocked {
-        w.usize(b);
+    w.usize(explored.graph.deadlocks.len());
+    for &b in &explored.graph.deadlocks {
+        w.usize(b as usize);
     }
     snap.push_section(section::BLOCKED, w.into_bytes());
 
@@ -729,8 +567,8 @@ fn to_snapshot<F: SetFamily>(
     snap
 }
 
-/// Rebuilds an exploration from a validated snapshot, restoring the work
-/// counters into `counters` and returning the accumulated elapsed time.
+/// Rebuilds an exploration from a validated snapshot, with its work
+/// counters and accumulated elapsed time.
 /// Every structural invariant the seeded engines rely on is re-checked
 /// here with typed errors, so a corrupt-but-checksummed snapshot can never
 /// panic the exploration or silently change a verdict.
@@ -740,8 +578,7 @@ fn from_snapshot<F: SetFamily>(
     engine: EngineKind,
     snap: &Snapshot,
     s0: &GpnState<F>,
-    counters: &Counters,
-) -> Result<(Explored<F>, Duration), CheckpointError> {
+) -> Result<(Explored<F>, Counters, Duration), CheckpointError> {
     snap.validate(engine, net.fingerprint())?;
     let places = net.place_count();
     let universe = net.transition_count();
@@ -866,38 +703,35 @@ fn from_snapshot<F: SetFamily>(
             return Err(r.malformed(format!("bad blocked id {b}")));
         }
         blocked_seen[b] = true;
-        blocked.push(b);
+        blocked.push(b as u32);
     }
     r.finish()?;
 
     let mut r = ByteReader::new(snap.require_section(section::COUNTERS)?, section::COUNTERS);
-    let computed = r.u64()? as usize;
-    let reused = r.u64()? as usize;
-    let multiple = r.u64()? as usize;
-    let single = r.u64()? as usize;
-    let peak = r.u64()? as usize;
+    // fields are read in declaration order, the order `to_snapshot` wrote
+    let counters = Counters {
+        enabling_computed: AtomicUsize::new(r.u64()? as usize),
+        enabling_reused: AtomicUsize::new(r.u64()? as usize),
+        multiple_firings: AtomicUsize::new(r.u64()? as usize),
+        single_firings: AtomicUsize::new(r.u64()? as usize),
+        peak_footprint: AtomicUsize::new(r.u64()? as usize),
+    };
     let elapsed = Duration::from_nanos(r.u64()?);
     r.finish()?;
-    counters
-        .enabling_computed
-        .fetch_add(computed, Ordering::Relaxed);
-    counters
-        .enabling_reused
-        .fetch_add(reused, Ordering::Relaxed);
-    counters
-        .multiple_firings
-        .fetch_add(multiple, Ordering::Relaxed);
-    counters.single_firings.fetch_add(single, Ordering::Relaxed);
-    counters.peak_footprint.fetch_max(peak, Ordering::Relaxed);
 
     Ok((
         Explored {
-            states,
+            graph: FrontierResult {
+                succ: vec![Vec::new(); n],
+                states,
+                expanded,
+                origin: Vec::new(),
+                deadlocks: blocked,
+                edge_count: 0,
+            },
             pred,
-            blocked,
-            expanded,
-            exhausted: None,
         },
+        counters,
         elapsed,
     ))
 }
@@ -916,11 +750,17 @@ fn extract_witnesses<F: SetFamily>(
     if max_witnesses == 0 {
         return;
     }
-    let mut blocked = explored.blocked.clone();
+    let states = &explored.graph.states;
+    let mut blocked: Vec<usize> = explored
+        .graph
+        .deadlocks
+        .iter()
+        .map(|&b| b as usize)
+        .collect();
     blocked.sort_unstable();
     let mut candidates: Vec<(Marking, usize)> = Vec::new();
     for &i in &blocked {
-        let s = &explored.states[i];
+        let s = &states[i];
         for v in crate::semantics::blocked_histories(net, s).some_sets(max_witnesses) {
             candidates.push((s.marking_of_history(net, &v), i));
         }
@@ -928,13 +768,13 @@ fn extract_witnesses<F: SetFamily>(
     candidates.sort_by(|a, b| a.0.cmp(&b.0));
     candidates.truncate(max_witnesses);
     for (witness, i) in candidates {
-        let s = &explored.states[i];
+        let s = &states[i];
         let Some(v) = history_of_witness(net, s, &witness) else {
             continue;
         };
         report
             .deadlock_traces
-            .push(project_trace(net, &explored.states, &explored.pred, i, &v));
+            .push(project_trace(net, states, &explored.pred, i, &v));
         report.deadlock_witnesses.push(witness);
     }
 }

@@ -39,6 +39,17 @@ impl fmt::Display for GpoError {
     }
 }
 
+/// Engine failures keep their own variant, except checkpoint failures,
+/// which are [`GpoError::Checkpoint`] whichever layer raised them.
+impl From<petri::NetError> for GpoError {
+    fn from(e: petri::NetError) -> Self {
+        match e {
+            petri::NetError::Checkpoint(detail) => GpoError::Checkpoint(detail),
+            e => GpoError::Engine(e),
+        }
+    }
+}
+
 impl Error for GpoError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {

@@ -38,7 +38,7 @@
 //! and SIGTERM trip the run's budget, so an interrupted `--checkpoint`
 //! run writes its final snapshot and exits 2 instead of dying mid-write.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -58,6 +58,24 @@ use julie::{flag, option, positional, serve, signals};
 
 /// Exit code for usage, I/O, parse and engine errors (0–2 are verdicts).
 const EXIT_ERROR: u8 = 3;
+
+/// `print!` that never panics. A closed stdout (`julie check … | head`)
+/// drops the output nobody reads, so the exit code still reports the
+/// verdict; any other write failure is an ordinary error.
+fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("writing stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
+/// [`write_stdout`] with `print!` syntax, returning early on errors.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))?
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -115,7 +133,7 @@ fn run(args: &[String]) -> Result<u8, String> {
         "model" => model(args).map(|()| 0),
         "serve" => serve::serve(args),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(0)
         }
         other => Err(format!("unknown command `{other}`; try `julie help`")),
@@ -265,15 +283,15 @@ fn load_net(args: &[String]) -> Result<PetriNet, String> {
 }
 
 fn info(net: &PetriNet) -> Result<(), String> {
-    println!(
-        "net `{}`: {} places, {} transitions, {} arcs",
+    out!(
+        "net `{}`: {} places, {} transitions, {} arcs\n",
         net.name(),
         net.place_count(),
         net.transition_count(),
         net.arc_count()
     );
-    println!(
-        "initial marking: {}",
+    out!(
+        "initial marking: {}\n",
         net.display_marking(net.initial_marking())
     );
     let conflicts = ConflictInfo::new(net);
@@ -284,8 +302,8 @@ fn info(net: &PetriNet) -> Result<(), String> {
             format!("{{{}}}", names.join(","))
         })
         .collect();
-    println!(
-        "conflict clusters with a choice: {}{}",
+    out!(
+        "conflict clusters with a choice: {}{}\n",
         choices.len(),
         if choices.is_empty() {
             String::new()
@@ -293,17 +311,17 @@ fn info(net: &PetriNet) -> Result<(), String> {
             format!(" — {}", choices.join(" "))
         }
     );
-    println!(
-        "maximal conflict-free transition sets |r0|: {}",
+    out!(
+        "maximal conflict-free transition sets |r0|: {}\n",
         conflicts.conflict_free_set_count()
     );
     match petri::siphon_trap_certificate(net, 100_000) {
-        Some(true) => println!("siphon-trap certificate: deadlock-free (structural proof)"),
-        Some(false) => println!("siphon-trap certificate: inconclusive"),
-        None => println!("siphon-trap certificate: skipped (siphon enumeration too large)"),
+        Some(true) => out!("siphon-trap certificate: deadlock-free (structural proof)\n"),
+        Some(false) => out!("siphon-trap certificate: inconclusive\n"),
+        None => out!("siphon-trap certificate: skipped (siphon enumeration too large)\n"),
     }
     let invs = place_invariants(net);
-    println!("minimal place invariants: {}", invs.len());
+    out!("minimal place invariants: {}\n", invs.len());
     for inv in invs.iter().take(8) {
         let terms: Vec<String> = net
             .places()
@@ -317,10 +335,10 @@ fn info(net: &PetriNet) -> Result<(), String> {
                 }
             })
             .collect();
-        println!("  {} = const", terms.join(" + "));
+        out!("  {} = const\n", terms.join(" + "));
     }
     if invs.len() > 8 {
-        println!("  … and {} more", invs.len() - 8);
+        out!("  … and {} more\n", invs.len() - 8);
     }
     Ok(())
 }
@@ -574,15 +592,15 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
     if let Some(r) = &reduction {
         let target = &r.net;
         if !json_mode {
-            println!(
-                "net `{}`: {} places, {} transitions (reduced from {}/{})",
+            out!(
+                "net `{}`: {} places, {} transitions (reduced from {}/{})\n",
                 original.name(),
                 target.place_count(),
                 target.transition_count(),
                 r.report.places_before,
                 r.report.transitions_before
             );
-            println!("reduction[{rules}]: {}", r.report);
+            out!("reduction[{rules}]: {}\n", r.report);
         }
         // stamp every snapshot this run writes, so a later --resume with
         // different reduction flags fails with a precise diagnostic
@@ -640,9 +658,9 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
         )?
     };
     if json_mode {
-        println!("{}", report.to_json().render());
+        out!("{}\n", report.to_json().render());
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     Ok(report.verdict.exit_code())
 }
@@ -650,30 +668,27 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
 fn unfold(net: &PetriNet, args: &[String]) -> Result<(), String> {
     let unf = Unfolding::build_with(net, &UnfoldOptions::default()).map_err(|e| e.to_string())?;
     if flag(args, "dot") {
-        print!("{}", unf.prefix().to_dot(net));
+        out!("{}", unf.prefix().to_dot(net));
     } else {
-        println!(
-            "prefix of `{}`: {} events, {} conditions, {} cut-offs",
+        out!(
+            "prefix of `{}`: {} events, {} conditions, {} cut-offs\n",
             net.name(),
             unf.prefix().event_count(),
             unf.prefix().condition_count(),
             unf.prefix().cutoff_count()
         );
-        report_verdict(Verdict::from_observation(unf.has_deadlock(net), true, 0));
+        let verdict = Verdict::from_observation(unf.has_deadlock(net), true, 0);
+        out!("verdict: {verdict}\n");
     }
     Ok(())
-}
-
-fn report_verdict(verdict: Verdict) {
-    println!("verdict: {verdict}");
 }
 
 fn dot(net: &PetriNet, args: &[String]) -> Result<(), String> {
     if flag(args, "rg") {
         let rg = ReachabilityGraph::explore(net).map_err(|e| e.to_string())?;
-        print!("{}", reachability_to_dot(net, &rg));
+        out!("{}", reachability_to_dot(net, &rg));
     } else {
-        print!("{}", net_to_dot(net));
+        out!("{}", net_to_dot(net));
     }
     Ok(())
 }
@@ -700,6 +715,6 @@ fn model(args: &[String]) -> Result<(), String> {
         "fig7" => models::figures::fig7(),
         other => return Err(format!("unknown model `{other}`")),
     };
-    print!("{}", to_text(&net));
+    out!("{}", to_text(&net));
     Ok(())
 }

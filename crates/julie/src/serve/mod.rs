@@ -281,10 +281,15 @@ fn wait(id: &str, stream: &mut TcpStream, store: &Store) -> io::Result<()> {
     }
     let mut w = ChunkedWriter::start(stream, 200)?;
     loop {
-        let Some(doc) = store.status_json(id) else {
+        let Some(mut doc) = store.status_json(id) else {
             return Ok(());
         };
         let terminal = store.state_of(id).is_some_and(|s| s.is_terminal());
+        if terminal {
+            // the job may have finished after `doc` was read: never end
+            // the stream on a stale non-terminal document
+            doc = store.status_json(id).unwrap_or(doc);
+        }
         if let Err(e) = w.send(&doc.render()) {
             let _ = store.cancel(id);
             return Err(e);

@@ -1304,3 +1304,37 @@ fn bad_legs_schedules_are_rejected() {
         assert!(stderr(&out).contains(why), "{legs}: {}", stderr(&out));
     }
 }
+
+/// A reader that goes away before julie writes (`julie check … | head`)
+/// must not turn the run into a panic: the output is dropped and the exit
+/// code still reports the verdict.
+#[test]
+fn closed_stdout_keeps_the_verdict_exit_code() {
+    let net = stdout(&julie(&["model", "nsdp", "6"]));
+    let args = [
+        "check",
+        "-",
+        "--engine=full",
+        "--threads=1",
+        "--json",
+        "--witnesses=50",
+    ];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_julie"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    // close the read end before the child has its input, so its very
+    // first write already finds the pipe closed
+    drop(child.stdout.take());
+    let mut input = child.stdin.take().expect("stdin piped");
+    input.write_all(net.as_bytes()).expect("stdin written");
+    drop(input);
+    let out = child.wait_with_output().expect("binary finishes");
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    assert_ne!(out.status.code(), Some(101), "{}", stderr(&out));
+    // nsdp(6) has a reachable deadlock: the verdict's exit code is 1
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+}

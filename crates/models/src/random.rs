@@ -128,8 +128,8 @@ pub fn random_safe_net(seed: u64, cfg: &RandomNetConfig) -> Option<PetriNet> {
     let opts = ExploreOptions {
         max_states: cfg.max_states,
         record_edges: false,
-        // random candidates are tiny and filtered in a hot loop: the
-        // serial path avoids per-candidate thread spawns
+        // random candidates are tiny and filtered in a hot loop: one
+        // worker runs in the calling thread, so nothing is spawned
         threads: 1,
     };
     match ReachabilityGraph::explore_with(&net, &opts) {

@@ -42,83 +42,39 @@ pub struct Dependencies {
 impl Dependencies {
     /// Computes the dependency matrices of `net`.
     pub fn new(net: &PetriNet) -> Self {
-        let n = net.transition_count();
-        let mut conflicts = vec![BitSet::new(n); n];
-        let mut enables = vec![BitSet::new(n); n];
-        for p in net.places() {
-            let consumers = net.post_transitions(p);
-            let producers = net.pre_transitions(p);
-            for (i, &t) in consumers.iter().enumerate() {
-                for &u in &consumers[i + 1..] {
-                    conflicts[t.index()].insert(u.index());
-                    conflicts[u.index()].insert(t.index());
-                }
-            }
-            for &t in producers {
-                for &u in consumers {
-                    if t != u {
-                        enables[t.index()].insert(u.index());
-                    }
-                }
-            }
-        }
-        let dependent = conflicts
-            .iter()
-            .zip(&enables)
-            .enumerate()
-            .map(|(i, (c, e))| {
-                let mut d = c.union(e);
-                // dependency is symmetric: also u enables t
-                for (j, ej) in enables.iter().enumerate() {
-                    if ej.contains(i) {
-                        d.insert(j);
-                    }
-                }
-                d
-            })
-            .collect();
-        Dependencies {
-            conflicts,
-            enables,
-            dependent,
-        }
+        Self::new_with_threads(net, 1)
     }
 
     /// Computes the dependency matrices of `net` with `threads` workers.
     ///
     /// Each worker derives a contiguous chunk of per-transition rows from
     /// the flow relation alone (no shared mutable state), so the result is
-    /// bit-for-bit identical to [`Dependencies::new`] for every thread
-    /// count. Values of `threads` below 2 fall back to the serial builder.
+    /// bit-for-bit identical for every thread count. One worker runs in
+    /// the calling thread.
     pub fn new_with_threads(net: &PetriNet, threads: usize) -> Self {
         let n = net.transition_count();
-        let threads = threads.min(n.max(1));
-        if threads <= 1 {
-            return Self::new(net);
-        }
         let ids: Vec<TransitionId> = net.transitions().collect();
-        let chunk = n.div_ceil(threads);
-        let mut rows: Vec<(BitSet, BitSet, BitSet)> = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .map(|ts| {
-                    scope
-                        .spawn(move || ts.iter().map(|&t| Self::row(net, t, n)).collect::<Vec<_>>())
-                })
-                .collect();
-            for h in handles {
-                rows.extend(h.join().expect("dependency worker panicked"));
-            }
-        });
-        let mut conflicts = Vec::with_capacity(n);
-        let mut enables = Vec::with_capacity(n);
-        let mut dependent = Vec::with_capacity(n);
-        for (c, e, d) in rows {
-            conflicts.push(c);
-            enables.push(e);
-            dependent.push(d);
-        }
+        let chunk = n.div_ceil(threads.clamp(1, n.max(1))).max(1);
+        let rows: Vec<(BitSet, BitSet, BitSet)> = if chunk >= n {
+            ids.iter().map(|&t| Self::row(net, t, n)).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = ids
+                    .chunks(chunk)
+                    .map(|ts| {
+                        scope.spawn(move || {
+                            ts.iter().map(|&t| Self::row(net, t, n)).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("dependency worker panicked"))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let (conflicts, (enables, dependent)) =
+            rows.into_iter().map(|(c, e, d)| (c, (e, d))).unzip();
         Dependencies {
             conflicts,
             enables,
@@ -262,6 +218,37 @@ mod tests {
         assert!(!dep.enables(a, a), "no self-enabling recorded");
     }
 
+    /// Independent oracle: the matrices built by one sweep over places.
+    fn per_place_sweep(net: &PetriNet) -> Dependencies {
+        let n = net.transition_count();
+        let mut conflicts = vec![BitSet::new(n); n];
+        let mut enables = vec![BitSet::new(n); n];
+        for p in net.places() {
+            for &t in net.post_transitions(p) {
+                for &u in net.post_transitions(p).iter().filter(|&&u| u != t) {
+                    conflicts[t.index()].insert(u.index());
+                }
+                for &u in net.pre_transitions(p).iter().filter(|&&u| u != t) {
+                    enables[u.index()].insert(t.index());
+                }
+            }
+        }
+        let dependent = (0..n)
+            .map(|i| {
+                let mut d = conflicts[i].union(&enables[i]);
+                for j in (0..n).filter(|&j| enables[j].contains(i)) {
+                    d.insert(j);
+                }
+                d
+            })
+            .collect();
+        Dependencies {
+            conflicts,
+            enables,
+            dependent,
+        }
+    }
+
     #[test]
     fn threaded_builder_matches_serial() {
         // the per-row formulas must agree bit-for-bit with the per-place
@@ -275,7 +262,7 @@ mod tests {
             models::overtake(3),
             models::asat(4),
         ] {
-            let serial = Dependencies::new(&net);
+            let serial = per_place_sweep(&net);
             for threads in [1usize, 2, 3, 8, 64] {
                 assert_eq!(
                     Dependencies::new_with_threads(&net, threads),

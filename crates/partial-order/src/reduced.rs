@@ -5,20 +5,15 @@
 //! which preserves every reachable deadlock while skipping redundant
 //! interleavings of independent transitions.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use petri::checkpoint::{
-    read_marking, write_checkpoint, write_marking, ByteReader, ByteWriter, CheckpointError,
-    EngineKind,
+    read_deadlocks, read_states, write_deadlocks, write_states, ByteReader, ByteWriter,
+    CheckpointError, EngineKind,
 };
-use petri::parallel::{
-    default_threads, explore_frontier_seeded, FrontierOptions, FrontierSeed, STATE_OVERHEAD_BYTES,
-};
+use petri::parallel::{default_threads, explore_frontier_seeded, FrontierOptions, FrontierResult};
 use petri::{
-    Budget, CheckpointConfig, CoverageStats, Marking, NetError, Outcome, PetriNet, Snapshot,
-    TransitionId,
+    Budget, CheckpointConfig, Marking, NetError, Outcome, PetriNet, Snapshot, TransitionId,
 };
 
 use crate::stubborn::{SeedStrategy, StubbornSets};
@@ -100,12 +95,10 @@ impl Default for ReducedOptions {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReducedReachability {
-    states: Vec<Marking>,
-    /// Per-state "successors computed" flag; `false` entries are the
-    /// frontier a checkpointed run resumes from.
-    expanded: Vec<bool>,
-    deadlocks: Vec<usize>,
-    edge_count: usize,
+    /// The explored states, their expanded flags (the `false` entries are
+    /// the frontier a checkpointed run resumes from), and the deadlocks;
+    /// no edges are recorded.
+    graph: FrontierResult,
     elapsed: Duration,
     threads_used: usize,
 }
@@ -154,8 +147,7 @@ impl ReducedReachability {
         opts: &ReducedOptions,
         budget: &Budget,
     ) -> Result<Outcome<Self>, NetError> {
-        let budget = budget.clone().cap_states(opts.max_states);
-        Self::explore_resumed(net, opts, &budget, None)
+        Self::explore_checkpointed(net, opts, budget, &CheckpointConfig::default(), None)
     }
 
     /// Like [`explore_bounded`](Self::explore_bounded), but optionally
@@ -179,48 +171,22 @@ impl ReducedReachability {
         ckpt: &CheckpointConfig,
         resume: Option<&Snapshot>,
     ) -> Result<Outcome<Self>, NetError> {
-        let real_budget = budget.clone().cap_states(opts.max_states);
-        let mut prior = match resume {
-            Some(snap) => Some(
-                Self::from_snapshot_with(net, snap, opts.strategy, opts.visible.as_deref())
-                    .map_err(|e| NetError::Checkpoint(e.to_string()))?,
-            ),
-            None => None,
-        };
-        loop {
-            let mut segment = real_budget.clone();
-            if let (Some(every), Some(_)) = (ckpt.every, &ckpt.path) {
-                let stored = prior.as_ref().map_or(1, ReducedReachability::state_count);
-                segment.max_states = segment.max_states.min(stored.saturating_add(every.max(1)));
-            }
-            match Self::explore_resumed(net, opts, &segment, prior.take())? {
-                Outcome::Complete(red) => return Ok(Outcome::Complete(red)),
-                Outcome::Partial {
-                    result, coverage, ..
-                } => {
-                    if let Some(path) = &ckpt.path {
-                        let mut snap =
-                            result.to_snapshot_with(net, opts.strategy, opts.visible.as_deref());
-                        ckpt.annotate(&mut snap);
-                        write_checkpoint(path, &snap)
-                            .map_err(|e| NetError::Checkpoint(e.to_string()))?;
-                    }
-                    match real_budget.exceeded(coverage.states_stored, coverage.bytes_estimate) {
-                        None => prior = Some(result),
-                        Some(real_reason) => {
-                            return Ok(Outcome::Partial {
-                                result,
-                                reason: real_reason,
-                                coverage,
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        let visible = opts.visible.as_deref();
+        let prior = resume
+            .map(|snap| Self::from_snapshot(net, snap, opts.strategy, visible))
+            .transpose()
+            .map_err(|e| NetError::Checkpoint(e.to_string()))?;
+        ckpt.run_segments(
+            &budget.clone().cap_states(opts.max_states),
+            prior,
+            Self::state_count,
+            |segment, prior| Self::explore_resumed(net, opts, segment, prior),
+            |red| red.to_snapshot(net, opts.strategy, visible),
+        )
     }
 
-    /// Continues exploring `prior` (or starts fresh) under `budget`.
+    /// Continues exploring `prior` (or starts fresh) under `budget` on the
+    /// shared frontier engine.
     fn explore_resumed(
         net: &PetriNet,
         opts: &ReducedOptions,
@@ -228,200 +194,59 @@ impl ReducedReachability {
         prior: Option<Self>,
     ) -> Result<Outcome<Self>, NetError> {
         let start = Instant::now();
-        let mut stubborn = StubbornSets::new_with_threads(net, opts.strategy, opts.threads.max(1));
+        let threads = opts.threads.max(1);
+        let mut stubborn = StubbornSets::new_with_threads(net, opts.strategy, threads);
         if let Some(visible) = &opts.visible {
             stubborn = stubborn.with_visible(visible.clone());
         }
 
-        if opts.threads.max(1) > 1 {
-            let (seed, base_elapsed) = match prior {
-                Some(red) => (
-                    FrontierSeed {
-                        // the reduced engine never records edges, so the
-                        // seed's succ lists are empty placeholders
-                        succ: vec![Vec::new(); red.states.len()],
-                        states: red.states,
-                        expanded: red.expanded,
-                        deadlocks: red.deadlocks.into_iter().map(|i| i as u32).collect(),
-                        edge_count: red.edge_count,
-                    },
-                    red.elapsed,
-                ),
-                None => (
-                    FrontierSeed::initial(net.initial_marking().clone()),
-                    Duration::ZERO,
-                ),
-            };
-            // the spread fills the cfg-gated fault-injection field in test builds
-            #[allow(clippy::needless_update)]
-            let outcome = explore_frontier_seeded(
-                seed,
-                &FrontierOptions {
-                    threads: opts.threads,
-                    record_edges: false,
-                    budget: budget.clone(),
-                    ..Default::default()
-                },
-                |m, out| {
-                    for t in stubborn.enabled_stubborn(m) {
-                        out.push((t, net.fire(t, m)?));
-                    }
-                    Ok(())
-                },
-            )?;
-            return Ok(outcome.map(|result| ReducedReachability {
-                states: result.states,
-                expanded: result.expanded,
-                deadlocks: result.deadlocks.into_iter().map(|i| i as usize).collect(),
-                edge_count: result.edge_count,
-                elapsed: base_elapsed + start.elapsed(),
-                threads_used: opts.threads,
-            }));
-        }
-
-        let (mut states, mut expanded, mut deadlocks, mut edge_count, base_elapsed) = match prior {
-            Some(red) => (
-                red.states,
-                red.expanded,
-                red.deadlocks,
-                red.edge_count,
-                red.elapsed,
-            ),
+        let (seed, base_elapsed) = match prior {
+            Some(red) => (red.graph, red.elapsed),
             None => (
-                vec![net.initial_marking().clone()],
-                vec![false],
-                Vec::new(),
-                0,
+                FrontierResult::initial(net.initial_marking().clone()),
                 Duration::ZERO,
             ),
         };
-        let mut index: HashMap<Marking, usize> = states
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.clone(), i))
-            .collect();
-        let mut bytes = states
-            .iter()
-            .map(|m| m.approx_bytes() + STATE_OVERHEAD_BYTES)
-            .sum::<usize>();
-        let mut worklist: VecDeque<usize> = (0..states.len()).filter(|&i| !expanded[i]).collect();
-        let mut expanded_count = states.len() - worklist.len();
-
-        let mut exhausted = None;
-        while let Some(&frontier) = worklist.front() {
-            if let Some(reason) = budget.exceeded(states.len(), bytes) {
-                exhausted = Some(reason);
-                break;
-            }
-            worklist.pop_front();
-            // take the marking out instead of cloning it; the index still
-            // holds an equal key, so lookups during expansion are unaffected
-            let m = std::mem::replace(&mut states[frontier], Marking::empty(0));
-            let fire = stubborn.enabled_stubborn(&m);
-            if fire.is_empty() {
-                deadlocks.push(frontier);
-            }
-            let count_mark = edge_count;
-            let mut aborted = None;
-            for t in fire {
-                // re-check between successors so a single wide fan-out
-                // overshoots the budget by at most one state (mirrors the
-                // parallel engine's per-insertion check)
-                if let Some(reason) = budget.exceeded(states.len(), bytes) {
-                    aborted = Some(reason);
-                    break;
-                }
-                let next = net.fire(t, &m)?;
-                edge_count += 1;
-                if let Entry::Vacant(e) = index.entry(next) {
-                    bytes += e.key().approx_bytes() + STATE_OVERHEAD_BYTES;
-                    states.push(e.key().clone());
-                    expanded.push(false);
-                    worklist.push_back(states.len() - 1);
-                    e.insert(states.len() - 1);
-                }
-            }
-            states[frontier] = m;
-            if let Some(reason) = aborted {
-                // roll the fired-count back so this state stays cleanly
-                // unexpanded and a resumed run re-counts its edges exactly
-                // once; successors already stored stay reachable frontier
-                edge_count = count_mark;
-                exhausted = Some(reason);
-                break;
-            }
-            expanded[frontier] = true;
-            expanded_count += 1;
-        }
-
-        let elapsed = base_elapsed + start.elapsed();
-        let stored = states.len();
-        let red = ReducedReachability {
-            states,
-            expanded,
-            deadlocks,
-            edge_count,
-            elapsed,
-            threads_used: 1,
-        };
-        Ok(match exhausted {
-            None => Outcome::Complete(red),
-            Some(reason) => Outcome::Partial {
-                result: red,
-                // re-classify at the stop: a cancel raised while the
-                // reason was latched must win deterministically
-                reason: budget.stop_reason(reason),
-                coverage: CoverageStats {
-                    states_stored: stored,
-                    states_expanded: expanded_count,
-                    frontier_len: stored.saturating_sub(expanded_count),
-                    bytes_estimate: bytes,
-                    elapsed,
-                },
+        // the spread fills the cfg-gated fault-injection field in test builds
+        #[allow(clippy::needless_update)]
+        let outcome = explore_frontier_seeded(
+            seed,
+            &FrontierOptions {
+                threads,
+                record_edges: false,
+                budget: budget.clone(),
+                ..Default::default()
             },
-        })
+            |m, out| {
+                for t in stubborn.enabled_stubborn(m) {
+                    out.push((t, net.fire(t, m)?));
+                }
+                Ok(())
+            },
+        )?;
+        Ok(outcome.map(|graph| ReducedReachability {
+            graph,
+            elapsed: base_elapsed + start.elapsed(),
+            threads_used: threads,
+        }))
     }
 
-    /// Serializes this (typically partial) reduced graph as a snapshot
-    /// (no visible set: the classical deadlock-preserving exploration).
-    pub fn to_snapshot(&self, net: &PetriNet, strategy: SeedStrategy) -> Snapshot {
-        self.to_snapshot_with(net, strategy, None)
-    }
-
-    /// Like [`to_snapshot`](Self::to_snapshot), also recording the
-    /// visible-transition set of a property-preserving exploration. With
-    /// `None` the snapshot is byte-identical to the legacy layout.
-    pub fn to_snapshot_with(
+    /// Serializes this (typically partial) reduced graph as a snapshot,
+    /// recording the visible-transition set of a property-preserving
+    /// exploration. With `None` (the classical deadlock-preserving
+    /// exploration) the strategy section keeps its legacy one-byte layout.
+    pub fn to_snapshot(
         &self,
         net: &PetriNet,
         strategy: SeedStrategy,
         visible: Option<&[TransitionId]>,
     ) -> Snapshot {
         let mut snap = Snapshot::new(EngineKind::Reduced, net);
-
-        let mut w = ByteWriter::new();
-        w.u32(net.place_count() as u32);
-        w.usize(self.states.len());
-        for m in &self.states {
-            write_marking(&mut w, m);
-        }
-        snap.push_section(section::STATES, w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        w.bools(&self.expanded);
-        snap.push_section(section::EXPANDED, w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        w.usize(self.deadlocks.len());
-        for &d in &self.deadlocks {
-            w.u32(d as u32);
-        }
-        snap.push_section(section::DEADLOCKS, w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        w.usize(self.edge_count);
-        w.u64(self.elapsed.as_nanos() as u64);
-        snap.push_section(section::COUNTERS, w.into_bytes());
+        let (g, tags) = (&self.graph, [section::STATES, section::EXPANDED]);
+        write_states(&mut snap, tags, net, &g.states, &g.expanded);
+        let tags = [section::DEADLOCKS, section::COUNTERS];
+        let deadlocks = g.deadlocks.iter().map(|&d| d as usize);
+        write_deadlocks(&mut snap, tags, deadlocks, g.edge_count, self.elapsed);
 
         let mut w = ByteWriter::new();
         w.u8(strategy_tag(strategy));
@@ -440,31 +265,16 @@ impl ReducedReachability {
     }
 
     /// Rebuilds a (typically partial) reduced graph from a snapshot,
-    /// validating engine kind, net fingerprint, stored strategy, and all
-    /// structural invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`CheckpointError`] for foreign, mismatched, or
-    /// inconsistent snapshots.
-    pub fn from_snapshot(
-        net: &PetriNet,
-        snap: &Snapshot,
-        strategy: SeedStrategy,
-    ) -> Result<Self, CheckpointError> {
-        Self::from_snapshot_with(net, snap, strategy, None)
-    }
-
-    /// Like [`from_snapshot`](Self::from_snapshot), additionally
-    /// validating the stored visible-transition set against the current
-    /// run's: a stubborn-set exploration is only a sound prefix for the
-    /// visibility condition it was computed under.
+    /// validating engine kind, net fingerprint, stored strategy, all
+    /// structural invariants, and the stored visible-transition set
+    /// against the current run's: a stubborn-set exploration is only a
+    /// sound prefix for the visibility condition it was computed under.
     ///
     /// # Errors
     ///
     /// Returns a typed [`CheckpointError`] for foreign, mismatched, or
     /// inconsistent snapshots, including any visible-set disagreement.
-    pub fn from_snapshot_with(
+    pub fn from_snapshot(
         net: &PetriNet,
         snap: &Snapshot,
         strategy: SeedStrategy,
@@ -516,69 +326,19 @@ impl ReducedReachability {
             });
         }
 
-        let mut r = ByteReader::new(snap.require_section(section::STATES)?, section::STATES);
-        let place_count = r.u32()? as usize;
-        if place_count != net.place_count() {
-            return Err(r.malformed(format!(
-                "snapshot has {place_count} places, net has {}",
-                net.place_count()
-            )));
-        }
-        let count = r.usize()?;
-        let mut states = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            states.push(read_marking(&mut r, place_count)?);
-        }
-        r.finish()?;
-        if states.is_empty() || &states[0] != net.initial_marking() {
-            return Err(CheckpointError::Malformed {
-                section: section::STATES,
-                detail: "state 0 is not the net's initial marking".into(),
-            });
-        }
-        let distinct: std::collections::HashSet<&Marking> = states.iter().collect();
-        if distinct.len() != states.len() {
-            return Err(CheckpointError::Malformed {
-                section: section::STATES,
-                detail: "duplicate markings in state table".into(),
-            });
-        }
-
-        let mut r = ByteReader::new(snap.require_section(section::EXPANDED)?, section::EXPANDED);
-        let expanded = r.bools()?;
-        r.finish()?;
-        if expanded.len() != count {
-            return Err(CheckpointError::Malformed {
-                section: section::EXPANDED,
-                detail: "expanded bitmap length disagrees with state count".into(),
-            });
-        }
-
-        let mut r = ByteReader::new(
-            snap.require_section(section::DEADLOCKS)?,
-            section::DEADLOCKS,
-        );
-        let ndead = r.usize()?;
-        let mut deadlocks = Vec::with_capacity(ndead.min(count));
-        for _ in 0..ndead {
-            let d = r.u32()? as usize;
-            if d >= count || !expanded[d] {
-                return Err(r.malformed("deadlock id out of range or unexpanded"));
-            }
-            deadlocks.push(d);
-        }
-        r.finish()?;
-
-        let mut r = ByteReader::new(snap.require_section(section::COUNTERS)?, section::COUNTERS);
-        let edge_count = r.usize()?;
-        let elapsed = Duration::from_nanos(r.u64()?);
-        r.finish()?;
+        let (states, expanded) = read_states(snap, [section::STATES, section::EXPANDED], net)?;
+        let tags = [section::DEADLOCKS, section::COUNTERS];
+        let (deadlocks, edge_count, elapsed) = read_deadlocks(snap, tags, &expanded)?;
 
         Ok(ReducedReachability {
-            states,
-            expanded,
-            deadlocks,
-            edge_count,
+            graph: FrontierResult {
+                succ: vec![Vec::new(); states.len()],
+                origin: Vec::new(),
+                deadlocks: deadlocks.into_iter().map(|d| d as u32).collect(),
+                states,
+                expanded,
+                edge_count,
+            },
             elapsed,
             threads_used: 1,
         })
@@ -586,28 +346,32 @@ impl ReducedReachability {
 
     /// Number of states in the reduced graph.
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.graph.states.len()
     }
 
     /// Number of edges fired during the reduced exploration.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.graph.edge_count
     }
 
     /// `true` if a dead marking was reached. Stubborn-set reduction
     /// preserves deadlocks, so this agrees with exhaustive analysis.
     pub fn has_deadlock(&self) -> bool {
-        !self.deadlocks.is_empty()
+        !self.graph.deadlocks.is_empty()
     }
 
     /// The dead markings found.
     pub fn deadlock_markings(&self) -> impl Iterator<Item = &Marking> + '_ {
-        self.deadlocks.iter().map(|&i| &self.states[i])
+        let states = &self.graph.states;
+        self.graph
+            .deadlocks
+            .iter()
+            .map(move |&i| &states[i as usize])
     }
 
     /// All states of the reduced graph.
     pub fn markings(&self) -> impl ExactSizeIterator<Item = &Marking> + '_ {
-        self.states.iter()
+        self.graph.states.iter()
     }
 
     /// Wall-clock exploration time.
@@ -619,7 +383,7 @@ impl ReducedReachability {
     pub fn states_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
-            self.states.len() as f64 / secs
+            self.graph.states.len() as f64 / secs
         } else {
             f64::INFINITY
         }
@@ -636,7 +400,7 @@ impl ReducedReachability {
         // construction); used by the CLI for quick liveness hints
         let stubborn = StubbornSets::new(net, SeedStrategy::BestOfEnabled);
         let mut fired = vec![false; net.transition_count()];
-        for m in &self.states {
+        for m in &self.graph.states {
             for t in stubborn.enabled_stubborn(m) {
                 fired[t.index()] = true;
             }
@@ -803,7 +567,7 @@ mod tests {
                 ReducedReachability::explore_bounded(&net, &opts, &Budget::default().cap_states(5))
                     .unwrap();
             assert!(!partial.is_complete(), "threads={threads}");
-            let snap = partial.value().to_snapshot(&net, opts.strategy);
+            let snap = partial.value().to_snapshot(&net, opts.strategy, None);
             let decoded = petri::Snapshot::from_bytes(&snap.to_bytes()).unwrap();
             let resumed = ReducedReachability::explore_checkpointed(
                 &net,
@@ -827,16 +591,18 @@ mod tests {
     fn snapshot_strategy_mismatch_is_rejected() {
         let net = fig2(3);
         let red = ReducedReachability::explore(&net).unwrap();
-        let snap = red.to_snapshot(&net, SeedStrategy::BestOfEnabled);
-        let err = ReducedReachability::from_snapshot(&net, &snap, SeedStrategy::ConflictCluster)
-            .unwrap_err();
+        let snap = red.to_snapshot(&net, SeedStrategy::BestOfEnabled, None);
+        let err =
+            ReducedReachability::from_snapshot(&net, &snap, SeedStrategy::ConflictCluster, None)
+                .unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed { .. }));
         // and the wrong engine kind is caught before anything decodes
         let full_snap = petri::ReachabilityGraph::explore(&net)
             .unwrap()
             .to_snapshot(&net, true);
-        let err = ReducedReachability::from_snapshot(&net, &full_snap, SeedStrategy::BestOfEnabled)
-            .unwrap_err();
+        let err =
+            ReducedReachability::from_snapshot(&net, &full_snap, SeedStrategy::BestOfEnabled, None)
+                .unwrap_err();
         assert!(matches!(err, CheckpointError::EngineMismatch { .. }));
     }
 

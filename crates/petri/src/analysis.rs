@@ -6,7 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::budget::{Budget, CoverageStats, ExhaustionReason, Outcome, Verdict};
+use crate::budget::{Budget, CoverageStats, ExhaustionReason, Verdict};
 use crate::error::NetError;
 use crate::ids::TransitionId;
 use crate::marking::Marking;
@@ -149,24 +149,7 @@ pub fn verify_bounded(
     opts: &ExploreOptions,
     budget: &Budget,
 ) -> Result<BoundedReport, NetError> {
-    let start = Instant::now();
-    let outcome = ReachabilityGraph::explore_bounded(net, opts, budget)?;
-    let exhausted = outcome.reason();
-    let coverage = outcome.coverage().cloned();
-    let rg = match &outcome {
-        Outcome::Complete(rg) | Outcome::Partial { result: rg, .. } => rg,
-    };
-    let report = derive_report(net, rg, start.elapsed());
-    let frontier = coverage.as_ref().map_or(0, |c| c.frontier_len);
-    let verdict = Verdict::from_observation(report.has_deadlock, exhausted.is_none(), frontier);
-    Ok(BoundedReport {
-        report,
-        verdict,
-        exhausted,
-        coverage,
-        reduction: None,
-        property: Property::deadlock(),
-    })
+    verify_bounded_property(net, opts, budget, &Property::deadlock())
 }
 
 /// Like [`verify_bounded`], but answers an arbitrary [`Property`] instead
@@ -192,26 +175,23 @@ pub fn verify_bounded_property(
     property: &Property,
 ) -> Result<BoundedReport, NetError> {
     let compiled = property.compile(net).map_err(NetError::Property)?;
-    if property.is_default() {
-        return verify_bounded(net, opts, budget);
-    }
     let start = Instant::now();
     let outcome = ReachabilityGraph::explore_bounded(net, opts, budget)?;
+    let rg = outcome.value();
+    let mut report = derive_report(net, rg, start.elapsed());
+    if !property.is_default() {
+        let mut goals: Vec<StateId> = rg
+            .states()
+            .filter(|&s| compiled.goal(net, rg.marking(s)))
+            .collect();
+        goals.sort_by(|&a, &b| rg.marking(a).cmp(rg.marking(b)));
+        report.has_deadlock = !goals.is_empty();
+        report.deadlock_count = goals.len();
+        report.deadlock_witness = goals.first().and_then(|&g| rg.path_to(g));
+        report.deadlock_marking = goals.first().map(|&g| rg.marking(g).clone());
+    }
     let exhausted = outcome.reason();
     let coverage = outcome.coverage().cloned();
-    let rg = match &outcome {
-        Outcome::Complete(rg) | Outcome::Partial { result: rg, .. } => rg,
-    };
-    let mut report = derive_report(net, rg, start.elapsed());
-    let mut goals: Vec<StateId> = rg
-        .states()
-        .filter(|&s| compiled.goal(net, rg.marking(s)))
-        .collect();
-    goals.sort_by(|&a, &b| rg.marking(a).cmp(rg.marking(b)));
-    report.has_deadlock = !goals.is_empty();
-    report.deadlock_count = goals.len();
-    report.deadlock_witness = goals.first().and_then(|&g| rg.path_to(g));
-    report.deadlock_marking = goals.first().map(|&g| rg.marking(g).clone());
     let frontier = coverage.as_ref().map_or(0, |c| c.frontier_len);
     let verdict = Verdict::from_observation(report.has_deadlock, exhausted.is_none(), frontier);
     Ok(BoundedReport {
@@ -275,7 +255,7 @@ pub fn verify_bounded_reduced(
 fn derive_report(net: &PetriNet, rg: &ReachabilityGraph, elapsed: Duration) -> VerificationReport {
     let mut fired = vec![false; net.transition_count()];
     for s in rg.states() {
-        for &(t, _) in rg.successors(s) {
+        for (t, _) in rg.successors(s) {
             fired[t.index()] = true;
         }
     }

@@ -136,6 +136,7 @@ impl BitSet {
         }
     }
 
+    #[inline]
     fn check_compat(&self, other: &BitSet) {
         debug_assert_eq!(
             self.capacity, other.capacity,
@@ -189,6 +190,7 @@ impl BitSet {
     }
 
     /// `true` if every element of `self` is in `other`.
+    #[inline]
     pub fn is_subset(&self, other: &BitSet) -> bool {
         self.check_compat(other);
         self.blocks

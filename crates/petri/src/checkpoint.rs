@@ -29,8 +29,11 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 use crate::bitset::BitSet;
+use crate::budget::{Budget, ExhaustionReason, Outcome};
+use crate::error::NetError;
 use crate::marking::Marking;
 use crate::net::PetriNet;
 
@@ -526,6 +529,66 @@ impl CheckpointConfig {
     pub fn annotate(&self, snapshot: &mut Snapshot) {
         for s in &self.annotations {
             snapshot.push_section(s.tag, s.payload.clone());
+        }
+    }
+
+    /// Runs a resumable exploration under `budget`, in segments when this
+    /// config snapshots periodically.
+    ///
+    /// `explore` runs one segment under the budget it is given, continuing
+    /// `prior` (or starting fresh on `None`). With both `every` and `path`
+    /// set, each segment caps stored states at `stored + every`; a stop on
+    /// that synthetic cap writes a snapshot and the run continues
+    /// in-process from the quiesced result. Any other stop means `budget`
+    /// itself ran out: the result is snapshotted (when `path` is set) and
+    /// returned as the partial outcome. A complete segment ends the run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `explore`'s errors; a snapshot that cannot be written
+    /// becomes [`NetError::Checkpoint`].
+    pub fn run_segments<T, E: From<NetError>>(
+        &self,
+        budget: &Budget,
+        mut prior: Option<T>,
+        stored: impl Fn(&T) -> usize,
+        mut explore: impl FnMut(&Budget, Option<T>) -> Result<Outcome<T>, E>,
+        snapshot: impl Fn(&T) -> Snapshot,
+    ) -> Result<Outcome<T>, E> {
+        loop {
+            let mut segment = budget.clone();
+            if let (Some(every), Some(_)) = (self.every, &self.path) {
+                let stored = prior.as_ref().map_or(1, &stored);
+                segment = segment.cap_states(stored.saturating_add(every.max(1)));
+            }
+            let (result, reason, coverage) = match explore(&segment, prior.take())? {
+                Outcome::Complete(done) => return Ok(Outcome::Complete(done)),
+                Outcome::Partial {
+                    result,
+                    reason,
+                    coverage,
+                } => (result, reason, coverage),
+            };
+            if let Some(path) = &self.path {
+                let mut snap = snapshot(&result);
+                self.annotate(&mut snap);
+                write_checkpoint(path, &snap).map_err(|e| {
+                    NetError::Checkpoint(format!("writing {}: {e}", path.display()))
+                })?;
+            }
+            // only the segment's synthetic state cap lets the run go on
+            match budget.exceeded(coverage.states_stored, coverage.bytes_estimate) {
+                None if reason == ExhaustionReason::States => prior = Some(result),
+                real => {
+                    return Ok(Outcome::Partial {
+                        result,
+                        // re-classify at the stop: a cancel raised while
+                        // the reason was latched must win deterministically
+                        reason: budget.stop_reason(real.unwrap_or(reason)),
+                        coverage,
+                    });
+                }
+            }
         }
     }
 }
@@ -1174,23 +1237,124 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Writes a marking as its place bit set (blocks only; the place count is
-/// supplied again on read).
-pub fn write_marking(w: &mut ByteWriter, m: &Marking) {
-    w.bits(m.as_bits());
+// ---------------------------------------------------------------------
+// Sections shared by the marking-based engines
+// ---------------------------------------------------------------------
+
+/// Pushes the state table (place count, state count, each marking's place
+/// bits) and the expanded flags under the engine's `[states, expanded]`
+/// section tags.
+pub fn write_states(
+    snap: &mut Snapshot,
+    tags: [u32; 2],
+    net: &PetriNet,
+    states: &[Marking],
+    expanded: &[bool],
+) {
+    let mut w = ByteWriter::new();
+    w.u32(net.place_count() as u32);
+    w.usize(states.len());
+    for m in states {
+        w.bits(m.as_bits());
+    }
+    snap.push_section(tags[0], w.into_bytes());
+    let mut w = ByteWriter::new();
+    w.bools(expanded);
+    snap.push_section(tags[1], w.into_bytes());
 }
 
-/// Reads a marking over `place_count` places.
+/// Reads what [`write_states`] wrote, checked against `net`: same place
+/// count, state 0 is the initial marking, no duplicate states, and one
+/// expanded flag per state.
 ///
 /// # Errors
 ///
-/// Returns [`CheckpointError::Malformed`] on truncation or out-of-universe
-/// bits.
-pub fn read_marking(
-    r: &mut ByteReader<'_>,
-    place_count: usize,
-) -> Result<Marking, CheckpointError> {
-    Ok(Marking::from_bits(r.bits(place_count)?))
+/// Returns [`CheckpointError::Malformed`] when a check fails, or a typed
+/// error when a section is missing or truncated.
+pub fn read_states(
+    snap: &Snapshot,
+    tags: [u32; 2],
+    net: &PetriNet,
+) -> Result<(Vec<Marking>, Vec<bool>), CheckpointError> {
+    let mut r = ByteReader::new(snap.require_section(tags[0])?, tags[0]);
+    let place_count = r.u32()? as usize;
+    if place_count != net.place_count() {
+        return Err(r.malformed(format!(
+            "snapshot has {place_count} places, net has {}",
+            net.place_count()
+        )));
+    }
+    let count = r.usize()?;
+    let mut states = Vec::with_capacity(count.min(1 << 20));
+    for _ in 0..count {
+        states.push(Marking::from_bits(r.bits(place_count)?));
+    }
+    if states.first() != Some(net.initial_marking()) {
+        return Err(r.malformed("state 0 is not the net's initial marking"));
+    }
+    let distinct: std::collections::HashSet<&Marking> = states.iter().collect();
+    if distinct.len() != count {
+        return Err(r.malformed("duplicate markings in state table"));
+    }
+    r.finish()?;
+    let mut r = ByteReader::new(snap.require_section(tags[1])?, tags[1]);
+    let expanded = r.bools()?;
+    if expanded.len() != count {
+        return Err(r.malformed("expanded bitmap length disagrees with state count"));
+    }
+    r.finish()?;
+    Ok((states, expanded))
+}
+
+/// Pushes the deadlock state ids and the counters (fired edges, elapsed
+/// time) under the engine's `[deadlocks, counters]` section tags.
+pub fn write_deadlocks(
+    snap: &mut Snapshot,
+    tags: [u32; 2],
+    deadlocks: impl ExactSizeIterator<Item = usize>,
+    edge_count: usize,
+    elapsed: Duration,
+) {
+    let mut w = ByteWriter::new();
+    w.usize(deadlocks.len());
+    for d in deadlocks {
+        w.u32(d as u32);
+    }
+    snap.push_section(tags[0], w.into_bytes());
+    let mut w = ByteWriter::new();
+    w.usize(edge_count);
+    w.u64(elapsed.as_nanos() as u64);
+    snap.push_section(tags[1], w.into_bytes());
+}
+
+/// Reads what [`write_deadlocks`] wrote as `(deadlocks, edge_count,
+/// elapsed)`; every deadlock id must name an expanded state.
+///
+/// # Errors
+///
+/// Returns [`CheckpointError::Malformed`] for a bad deadlock id, or a
+/// typed error when a section is missing or truncated.
+pub fn read_deadlocks(
+    snap: &Snapshot,
+    tags: [u32; 2],
+    expanded: &[bool],
+) -> Result<(Vec<usize>, usize, Duration), CheckpointError> {
+    let mut r = ByteReader::new(snap.require_section(tags[0])?, tags[0]);
+    let n = r.usize()?;
+    let mut deadlocks = Vec::with_capacity(n.min(expanded.len()));
+    for _ in 0..n {
+        let d = r.u32()? as usize;
+        if !expanded.get(d).copied().unwrap_or(false) {
+            return Err(r.malformed("deadlock id out of range or unexpanded"));
+        }
+        deadlocks.push(d);
+    }
+    r.finish()?;
+    let mut r = ByteReader::new(snap.require_section(tags[1])?, tags[1]);
+    let edge_count = r.usize()?;
+    let elapsed = Duration::from_nanos(r.u64()?);
+    r.finish()?;
+    Ok((deadlocks, edge_count, elapsed))
 }
 
 #[cfg(test)]

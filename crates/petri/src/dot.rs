@@ -82,7 +82,7 @@ pub fn reachability_to_dot(net: &PetriNet, rg: &ReachabilityGraph) -> String {
         let _ = writeln!(out, "  {s} [{attrs}];");
     }
     for s in rg.states() {
-        for &(t, n) in rg.successors(s) {
+        for (t, n) in rg.successors(s) {
             let _ = writeln!(out, "  {s} -> {n} [label=\"{}\"];", net.transition_name(t));
         }
     }

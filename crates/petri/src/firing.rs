@@ -25,6 +25,9 @@ impl PetriNet {
     /// assert!(net.enabled(t, net.initial_marking()));
     /// # Ok::<(), petri::NetError>(())
     /// ```
+    // inlined (with the bit-set test under it) into every engine's
+    // successor scan, which runs once per transition per state
+    #[inline]
     pub fn enabled(&self, t: TransitionId, m: &Marking) -> bool {
         m.covers(self.pre_place_set(t))
     }

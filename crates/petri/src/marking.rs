@@ -88,6 +88,7 @@ impl Marking {
     }
 
     /// `true` if every place of `required` is marked in `self`.
+    #[inline]
     pub fn covers(&self, required: &BitSet) -> bool {
         required.is_subset(&self.bits)
     }

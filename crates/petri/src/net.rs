@@ -137,6 +137,7 @@ impl PetriNet {
     }
 
     /// The preset `•t` as a bit set over place indices.
+    #[inline]
     pub fn pre_place_set(&self, t: TransitionId) -> &BitSet {
         &self.transitions[t.index()].pre_set
     }

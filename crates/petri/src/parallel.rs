@@ -1,10 +1,10 @@
-//! Work-stealing parallel frontier-exploration driver.
+//! Work-stealing frontier-exploration engine.
 //!
-//! Both the exhaustive [`ReachabilityGraph`](crate::ReachabilityGraph) and
-//! the stubborn-set-reduced engine of the `partial-order` crate are
-//! breadth-first fixed-point loops over a hashed set of visited markings.
-//! This module factors that loop into a reusable engine that scales across
-//! cores using only the standard library:
+//! The exhaustive [`ReachabilityGraph`](crate::ReachabilityGraph), the
+//! stubborn-set-reduced engine of the `partial-order` crate and the GPO
+//! engine of `gpo-core` are all breadth-first fixed-point loops over a
+//! hashed set of visited states. This module is that loop, for one thread
+//! or many, using only the standard library:
 //!
 //! * a **sharded state index** — `2^k` mutex-guarded `HashMap<Marking, u32>`
 //!   shards keyed by marking hash, so concurrent inserts rarely contend;
@@ -26,6 +26,11 @@
 //! * **worker-local result buffers** (labelled edges, origins, deadlocks)
 //!   merged after `std::thread::scope` joins, so the hot loop never
 //!   serializes on a global result vector.
+//!
+//! The calling thread is always worker 0. With `threads == 1` it runs alone:
+//! it pops its own deque from the *front*, drains the whole injector at
+//! once and uses a single unhashed shard, which makes the run a plain FIFO
+//! breadth-first search with dense ids in discovery order.
 //!
 //! # Resource governance
 //!
@@ -67,8 +72,9 @@
 //! For a fixed model, the reachable state *set*, the deadlock marking
 //! *set*, and the *number* of edges are identical for every thread count;
 //! state **ids may permute** between runs because discovery order races.
-//! Callers that need reproducible ids use one thread (the engines run
-//! their exact historical serial loop in that case).
+//! With one worker the ids are reproducible: breadth-first discovery
+//! order, successors in callback order, and a resumed run assigns the
+//! same ids as an uninterrupted one.
 //!
 //! # Genericity
 //!
@@ -91,12 +97,11 @@ use crate::error::NetError;
 use crate::ids::TransitionId;
 use crate::marking::Marking;
 
-/// Approximate bookkeeping bytes per stored state beyond the marking
-/// itself (index entry, result slot, queue slot). Shared with the serial
-/// explore loops so byte accounting agrees across thread counts.
-pub const STATE_OVERHEAD_BYTES: usize = 48;
+/// Approximate bookkeeping bytes per stored state beyond the state itself
+/// (index entry, result slot, queue slot).
+const STATE_OVERHEAD_BYTES: usize = 48;
 /// Approximate bytes per recorded edge.
-pub const EDGE_BYTES: usize = 24;
+const EDGE_BYTES: usize = 24;
 /// Most items moved in one steal (or one injector drain). Half the
 /// victim's deque is taken, capped here so a thief never walks off with a
 /// huge contiguous share of a deep frontier.
@@ -136,8 +141,8 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Tuning knobs of [`explore_frontier`].
 #[derive(Debug, Clone)]
 pub struct FrontierOptions {
-    /// Worker count; values below 2 are rounded up to 2 (callers run their
-    /// serial loop instead of this engine for one thread).
+    /// Worker count (0 counts as 1); worker 0 is the calling thread. See
+    /// the module docs for the single-worker mode and its reproducible ids.
     pub threads: usize,
     /// Collect the labelled `(source, transition, target)` edges.
     pub record_edges: bool,
@@ -194,11 +199,13 @@ impl Default for FrontierOptions {
     }
 }
 
-/// What a parallel exploration produced. Ids are dense `0..states.len()`
-/// with the initial marking at id 0. On a partial run every stored state
-/// is genuinely reachable, but only expanded states have their successors
-/// (and deadlock classification) recorded.
-#[derive(Debug)]
+/// What an exploration produced. Ids are dense `0..states.len()` with the
+/// initial marking at id 0. On a partial run every stored state is
+/// genuinely reachable, but only expanded states have their successors
+/// (and deadlock classification) recorded. A result, typically decoded
+/// from a [checkpoint](crate::checkpoint) snapshot, also seeds a resumed
+/// run (see [`explore_frontier_seeded`]).
+#[derive(Debug, Clone)]
 pub struct FrontierResult<St = Marking, L = TransitionId> {
     /// Every discovered state, indexed by state id.
     pub states: Vec<St>,
@@ -212,9 +219,9 @@ pub struct FrontierResult<St = Marking, L = TransitionId> {
     /// rolls its edges back so a resume re-records them exactly once.
     pub succ: Vec<Vec<(L, u32)>>,
     /// Per state id, the `(parent, label)` of the expansion that first
-    /// inserted it — `None` for id 0 and for seeded states (their
-    /// provenance belongs to the caller). Empty unless
-    /// [`FrontierOptions::record_origins`] was set. Never rolled back.
+    /// inserted it — `None` for id 0, and for seeded states whose seed
+    /// carried no origin. Empty unless [`FrontierOptions::record_origins`]
+    /// was set. Never rolled back.
     pub origin: Vec<Option<(u32, L)>>,
     /// Ids of expanded states with no successors, in increasing id order.
     pub deadlocks: Vec<u32>,
@@ -222,35 +229,15 @@ pub struct FrontierResult<St = Marking, L = TransitionId> {
     pub edge_count: usize,
 }
 
-/// A previously explored prefix of the state space to continue from —
-/// typically decoded from a [checkpoint](crate::checkpoint) snapshot. The
-/// engine re-seeds its index with every state, re-enqueues exactly the
-/// unexpanded ones (in increasing id order), and keeps all accumulated
-/// edges, deadlocks, and counts.
-#[derive(Debug)]
-pub struct FrontierSeed<St = Marking, L = TransitionId> {
-    /// Every previously discovered state, indexed by state id.
-    pub states: Vec<St>,
-    /// Per state id, whether it was already expanded (same length as
-    /// `states`).
-    pub expanded: Vec<bool>,
-    /// Previously recorded edges per state id (same length as `states`;
-    /// all empty when the prior run did not record edges).
-    pub succ: Vec<Vec<(L, u32)>>,
-    /// Previously classified deadlock ids.
-    pub deadlocks: Vec<u32>,
-    /// Previously fired transition count.
-    pub edge_count: usize,
-}
-
-impl<St, L> FrontierSeed<St, L> {
+impl<St, L> FrontierResult<St, L> {
     /// The trivial seed of a fresh run: one stored, unexpanded initial
     /// state with id 0.
     pub fn initial(initial: St) -> Self {
-        FrontierSeed {
+        FrontierResult {
             states: vec![initial],
             expanded: vec![false],
             succ: vec![Vec::new()],
+            origin: Vec::new(),
             deadlocks: Vec::new(),
             edge_count: 0,
         }
@@ -258,7 +245,7 @@ impl<St, L> FrontierSeed<St, L> {
 }
 
 /// Explores the frontier fixed point of `successors` from `initial` using
-/// `opts.threads` workers.
+/// `opts.threads` workers (one worker runs in the calling thread).
 ///
 /// `successors` receives a marking and pushes every `(label, successor)`
 /// pair into the scratch vector; pushing nothing marks the state as a
@@ -284,14 +271,16 @@ where
     L: Clone + Send,
     S: Fn(&St, &mut Vec<(L, St)>) -> Result<(), NetError> + Sync,
 {
-    explore_frontier_seeded(FrontierSeed::initial(initial), opts, successors)
+    explore_frontier_seeded(FrontierResult::initial(initial), opts, successors)
 }
 
-/// Continues exploring from a previously computed prefix (see
-/// [`FrontierSeed`]). A seed of [`FrontierSeed::initial`] makes this
-/// identical to [`explore_frontier`]; a seed decoded from a checkpoint
-/// resumes the interrupted run, re-enqueuing its frontier in increasing
-/// id order through the global injector.
+/// Continues exploring from a previously computed prefix. A seed of
+/// [`FrontierResult::initial`] makes this identical to
+/// [`explore_frontier`]; a partial result (or one decoded from a
+/// checkpoint) resumes the interrupted run: the index is re-seeded with
+/// every state, exactly the unexpanded ones are re-enqueued in increasing
+/// id order through the global injector, and the accumulated edges,
+/// origins, deadlocks and counts are kept.
 ///
 /// Prior states keep their ids; newly discovered states get the next
 /// dense ids. All counts (stored states, byte estimate, expanded states,
@@ -309,7 +298,7 @@ where
 /// or it contains duplicate states) — seeds decoded from checkpoints are
 /// validated before they reach this engine.
 pub fn explore_frontier_seeded<St, L, S>(
-    seed: FrontierSeed<St, L>,
+    seed: FrontierResult<St, L>,
     opts: &FrontierOptions,
     successors: S,
 ) -> Result<Outcome<FrontierResult<St, L>>, NetError>
@@ -319,13 +308,19 @@ where
     S: Fn(&St, &mut Vec<(L, St)>) -> Result<(), NetError> + Sync,
 {
     let start = Instant::now();
-    let threads = opts.threads.max(2);
-    let shard_count = (threads * 8).next_power_of_two();
+    let threads = opts.threads.max(1);
+    // a lone worker never contends, so one shard spares it the hashing
+    let shard_count = if threads == 1 {
+        1
+    } else {
+        (threads * 8).next_power_of_two()
+    };
 
-    let FrontierSeed {
+    let FrontierResult {
         states: seed_states,
         expanded: seed_expanded,
         succ: seed_succ,
+        origin: seed_origin,
         deadlocks: seed_deadlocks,
         edge_count: seed_edge_count,
     } = seed;
@@ -396,22 +391,22 @@ where
     };
 
     let shared_ref = &shared;
+    // the calling thread is worker 0, so a single worker spawns nothing
     let outs: Vec<WorkerOut<L>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (1..threads)
             .map(|wid| scope.spawn(move || worker(shared_ref, wid)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(out) => out,
-                // unreachable in practice (worker bodies are wrapped in
-                // catch_unwind), but never let a join failure cascade
-                Err(_) => {
-                    shared_ref.record_error(NetError::WorkerPanicked);
-                    WorkerOut::default()
-                }
-            })
-            .collect()
+        let mut outs = vec![worker(shared_ref, 0)];
+        outs.extend(handles.into_iter().map(|h| match h.join() {
+            Ok(out) => out,
+            // unreachable in practice (worker bodies are wrapped in
+            // catch_unwind), but never let a join failure cascade
+            Err(_) => {
+                shared_ref.record_error(NetError::WorkerPanicked);
+                WorkerOut::default()
+            }
+        }));
+        outs
     });
 
     let control = shared
@@ -443,11 +438,8 @@ where
         .collect();
     let mut succ = seed_succ;
     succ.resize_with(state_count, Vec::new);
-    let mut origin: Vec<Option<(u32, L)>> = if opts.record_origins {
-        (0..state_count).map(|_| None).collect()
-    } else {
-        Vec::new()
-    };
+    let mut origin = seed_origin;
+    origin.resize_with(if opts.record_origins { state_count } else { 0 }, || None);
     let mut expanded_flags = seed_expanded;
     expanded_flags.resize(state_count, false);
     let mut deadlocks = seed_deadlocks;
@@ -526,8 +518,8 @@ struct Shared<'a, St, S> {
     record_origins: bool,
     /// Seed/resume frontier in increasing id order; drained before steals.
     injector: Mutex<VecDeque<(u32, St)>>,
-    /// Per-worker deques: the owner pushes and pops at the back, thieves
-    /// steal batches from the front.
+    /// Per-worker deques: the owner pushes at the back and pops there (at
+    /// the front when alone); thieves steal batches from the front.
     locals: Vec<Mutex<VecDeque<(u32, St)>>>,
     /// Raised with the first error or exhaustion; workers drain on sight.
     halt: AtomicBool,
@@ -598,6 +590,9 @@ impl<L> Default for WorkerOut<L> {
 }
 
 fn shard_of<St: Hash>(m: &St, mask: usize) -> usize {
+    if mask == 0 {
+        return 0;
+    }
     let mut h = DefaultHasher::new();
     m.hash(&mut h);
     (h.finish() as usize) & mask
@@ -662,9 +657,21 @@ where
 /// randomized order. Batches beyond the returned item are re-homed into
 /// the caller's own deque — never while holding the victim's lock, so two
 /// thieves can never deadlock on each other's deques.
+///
+/// A lone worker pops its deque from the front and takes the whole
+/// injector at once, so it expands states in increasing id order.
 fn acquire<St, S>(shared: &Shared<'_, St, S>, wid: usize, rng: &mut XorShift) -> Option<(u32, St)> {
-    if let Some(item) = lock_ignore_poison(&shared.locals[wid]).pop_back() {
-        return Some(item);
+    let alone = shared.locals.len() == 1;
+    {
+        let mut own = lock_ignore_poison(&shared.locals[wid]);
+        let item = if alone {
+            own.pop_front()
+        } else {
+            own.pop_back()
+        };
+        if item.is_some() {
+            return item;
+        }
     }
 
     {
@@ -672,7 +679,11 @@ fn acquire<St, S>(shared: &Shared<'_, St, S>, wid: usize, rng: &mut XorShift) ->
         if !inj.is_empty() {
             // drain a proportional batch so a wide resume frontier spreads
             // across workers instead of serializing on the injector lock
-            let take = (inj.len() / shared.locals.len()).clamp(1, MAX_STEAL_BATCH);
+            let take = if alone {
+                inj.len()
+            } else {
+                (inj.len() / shared.locals.len()).clamp(1, MAX_STEAL_BATCH)
+            };
             let batch: Vec<(u32, St)> = inj.drain(..take).collect();
             drop(inj);
             return Some(rehome(shared, wid, batch));
@@ -740,7 +751,8 @@ where
     let mut newly: Vec<(u32, St)> = Vec::new();
     let mut rng = XorShift::new(wid as u64 + 1);
     loop {
-        if shared.halt.load(Ordering::Acquire) {
+        // a fully expanded seed is complete whatever the budget says
+        if shared.halt.load(Ordering::Acquire) || shared.pending.load(Ordering::Acquire) == 0 {
             return out;
         }
         if let Some(reason) = shared.budget.exceeded(
@@ -949,7 +961,7 @@ mod tests {
     #[test]
     fn hypercube_explored_completely() {
         let net = concurrent(4);
-        for threads in [2, 3, 8] {
+        for threads in [1, 2, 3, 8] {
             let outcome = explore_frontier(
                 net.initial_marking().clone(),
                 &opts(threads),
@@ -1005,7 +1017,7 @@ mod tests {
         let expected_states = 33 + 32 * 6;
         let expected_edges = 32 * 7;
         let mut reference: Option<(BTreeSet<Marking>, BTreeSet<Marking>)> = None;
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
             let r = explore_frontier(
                 net.initial_marking().clone(),
                 &opts(threads),
@@ -1146,7 +1158,7 @@ mod tests {
         // the rollback invariant that keeps resume edge counts exact:
         // succ[id] is non-empty only if expanded[id]
         let net = concurrent(6);
-        for threads in [2, 4, 8] {
+        for threads in [1, 2, 4, 8] {
             let outcome = explore_frontier(
                 net.initial_marking().clone(),
                 &FrontierOptions {
@@ -1341,7 +1353,7 @@ mod tests {
         // mid-exploration must neither stall quiescence detection nor
         // cascade into poisoned-lock panics on the other workers
         let net = concurrent(8);
-        for threads in [2, 8] {
+        for threads in [1, 2, 8] {
             let start = Instant::now();
             let err = explore_frontier(
                 net.initial_marking().clone(),
@@ -1447,7 +1459,7 @@ mod tests {
         // whole run fails closed with StateIdOverflow — there is no
         // partial result a resume could observe
         let net = concurrent(4); // needs 15 fresh ids, only 2 remain
-        for threads in [2, 8] {
+        for threads in [1, 2, 8] {
             let start = Instant::now();
             let err = explore_frontier(
                 net.initial_marking().clone(),
@@ -1494,14 +1506,7 @@ mod tests {
         assert!(!partial.is_complete());
         let p = partial.into_value();
         assert!(p.expanded.iter().any(|&e| !e), "a frontier remains");
-        let seed = FrontierSeed {
-            states: p.states,
-            expanded: p.expanded,
-            succ: p.succ,
-            deadlocks: p.deadlocks,
-            edge_count: p.edge_count,
-        };
-        let resumed = explore_frontier_seeded(seed, &opts(2), net_successors(&net))
+        let resumed = explore_frontier_seeded(p, &opts(2), net_successors(&net))
             .unwrap()
             .into_value();
 
@@ -1546,14 +1551,7 @@ mod tests {
         )
         .unwrap()
         .into_value();
-        let seed = FrontierSeed {
-            states: full.states.clone(),
-            expanded: full.expanded.clone(),
-            succ: full.succ,
-            deadlocks: full.deadlocks.clone(),
-            edge_count: full.edge_count,
-        };
-        let again = explore_frontier_seeded(seed, &opts(2), net_successors(&net)).unwrap();
+        let again = explore_frontier_seeded(full.clone(), &opts(2), net_successors(&net)).unwrap();
         assert!(again.is_complete());
         let r = again.into_value();
         assert_eq!(r.states, full.states, "ids are preserved exactly");

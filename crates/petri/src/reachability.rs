@@ -5,24 +5,19 @@
 //! reduced analyses are compared against, and the "States" column of the
 //! paper's Table 1.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use crate::budget::{Budget, CoverageStats, Outcome};
+use crate::budget::{Budget, Outcome};
 use crate::checkpoint::{
-    read_marking, write_checkpoint, write_marking, ByteReader, ByteWriter, CheckpointConfig,
-    CheckpointError, EngineKind, Snapshot,
+    read_deadlocks, read_states, write_deadlocks, write_states, ByteReader, ByteWriter,
+    CheckpointConfig, CheckpointError, EngineKind, Snapshot,
 };
 use crate::error::NetError;
 use crate::ids::TransitionId;
 use crate::marking::Marking;
 use crate::net::PetriNet;
-use crate::parallel::{
-    default_threads, explore_frontier_seeded, FrontierOptions, FrontierSeed, EDGE_BYTES,
-    STATE_OVERHEAD_BYTES,
-};
+use crate::parallel::{default_threads, explore_frontier_seeded, FrontierOptions, FrontierResult};
 
 /// Section tags of a [`EngineKind::Full`] snapshot.
 mod section {
@@ -44,23 +39,14 @@ impl StateId {
     }
 
     /// Internal constructor for indexes already known to be in range
-    /// (anything `< states.len()` of a built graph, since every insertion
-    /// went through [`try_new`](Self::try_new)).
+    /// (anything `< states.len()` of a built graph: the frontier engine
+    /// fails with [`NetError::StateIdOverflow`] before an id could wrap).
     fn new(i: usize) -> Self {
         debug_assert!(
             u32::try_from(i).is_ok(),
             "state index validated at insertion"
         );
         StateId(i as u32)
-    }
-
-    /// Fallible constructor used at state-insertion time: a net with more
-    /// than `u32::MAX` states yields [`NetError::StateIdOverflow`] instead
-    /// of panicking.
-    fn try_new(i: usize) -> Result<Self, NetError> {
-        u32::try_from(i)
-            .map(StateId)
-            .map_err(|_| NetError::StateIdOverflow)
     }
 }
 
@@ -79,10 +65,11 @@ pub struct ExploreOptions {
     /// disable to save memory when only the state count matters.
     pub record_edges: bool,
     /// Worker threads for the frontier exploration. The default is the
-    /// machine's available parallelism; `1` runs the exact historical
-    /// serial loop (fully deterministic state ids). For any thread count
-    /// the reachable state set, deadlock set, and edge count are
-    /// identical; ids may permute when `threads > 1`.
+    /// machine's available parallelism; `1` runs a single worker in the
+    /// calling thread, which numbers states in breadth-first discovery
+    /// order (fully deterministic ids). For any thread count the
+    /// reachable state set, deadlock set, and edge count are identical;
+    /// ids may permute when `threads > 1`.
     pub threads: usize,
 }
 
@@ -118,15 +105,12 @@ impl Default for ExploreOptions {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
-    states: Vec<Marking>,
-    /// Per-state "successors computed" flag; the `false` entries are the
-    /// frontier a checkpointed run resumes from.
-    expanded: Vec<bool>,
-    /// Per-state outgoing labelled edges; empty if `record_edges` was off.
-    succ: Vec<Vec<(TransitionId, StateId)>>,
-    initial: StateId,
+    /// States, expanded flags (the `false` entries are the frontier a
+    /// checkpointed run resumes from), labelled edges (none if
+    /// `record_edges` was off) and deadlock ids.
+    graph: FrontierResult,
+    /// The deadlock ids again, typed for [`deadlocks`](Self::deadlocks).
     deadlocks: Vec<StateId>,
-    edge_count: usize,
     elapsed: Duration,
     threads_used: usize,
 }
@@ -179,8 +163,7 @@ impl ReachabilityGraph {
         opts: &ExploreOptions,
         budget: &Budget,
     ) -> Result<Outcome<Self>, NetError> {
-        let budget = budget.clone().cap_states(opts.max_states);
-        Self::explore_resumed(net, opts, &budget, None)
+        Self::explore_checkpointed(net, opts, budget, &CheckpointConfig::default(), None)
     }
 
     /// Like [`explore_bounded`](Self::explore_bounded), but optionally
@@ -197,7 +180,7 @@ impl ReachabilityGraph {
     ///   stored states: the run proceeds in segments capped at
     ///   `stored + every` states, each segment quiescing its workers at
     ///   the frontier barrier before the snapshot is taken, then
-    ///   continuing in-process.
+    ///   continuing in-process (see [`CheckpointConfig::run_segments`]).
     ///
     /// # Errors
     ///
@@ -211,217 +194,33 @@ impl ReachabilityGraph {
         ckpt: &CheckpointConfig,
         resume: Option<&Snapshot>,
     ) -> Result<Outcome<Self>, NetError> {
-        let real_budget = budget.clone().cap_states(opts.max_states);
-        let mut prior = match resume {
-            Some(snap) => Some(
-                Self::from_snapshot(net, snap, opts.record_edges)
-                    .map_err(|e| NetError::Checkpoint(e.to_string()))?,
-            ),
-            None => None,
-        };
-        loop {
-            let mut segment = real_budget.clone();
-            if let (Some(every), Some(_)) = (ckpt.every, &ckpt.path) {
-                let stored = prior.as_ref().map_or(1, ReachabilityGraph::state_count);
-                segment.max_states = segment.max_states.min(stored.saturating_add(every.max(1)));
-            }
-            match Self::explore_resumed(net, opts, &segment, prior.take())? {
-                Outcome::Complete(g) => return Ok(Outcome::Complete(g)),
-                Outcome::Partial {
-                    result, coverage, ..
-                } => {
-                    if let Some(path) = &ckpt.path {
-                        let mut snap = result.to_snapshot(net, opts.record_edges);
-                        ckpt.annotate(&mut snap);
-                        write_checkpoint(path, &snap)
-                            .map_err(|e| NetError::Checkpoint(e.to_string()))?;
-                    }
-                    // Distinguish the segment's synthetic state cap from
-                    // genuine exhaustion of the caller's budget: only the
-                    // latter ends the run.
-                    match real_budget.exceeded(coverage.states_stored, coverage.bytes_estimate) {
-                        None => prior = Some(result),
-                        Some(real_reason) => {
-                            return Ok(Outcome::Partial {
-                                result,
-                                reason: real_reason,
-                                coverage,
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        let prior = resume
+            .map(|snap| Self::from_snapshot(net, snap, opts.record_edges))
+            .transpose()
+            .map_err(|e| NetError::Checkpoint(e.to_string()))?;
+        ckpt.run_segments(
+            &budget.clone().cap_states(opts.max_states),
+            prior,
+            Self::state_count,
+            |segment, prior| Self::explore_resumed(net, opts, segment, prior),
+            |g| g.to_snapshot(net, opts.record_edges),
+        )
     }
 
-    /// Continues exploring `prior` (or starts fresh) under `budget`.
+    /// Continues exploring `prior` (or starts fresh) under `budget` on the
+    /// shared [`parallel`](crate::parallel) frontier engine.
     fn explore_resumed(
         net: &PetriNet,
         opts: &ExploreOptions,
         budget: &Budget,
         prior: Option<Self>,
     ) -> Result<Outcome<Self>, NetError> {
-        if opts.threads.max(1) > 1 {
-            return Self::explore_parallel(net, opts, budget, prior);
-        }
         let start = Instant::now();
-        let (mut states, mut expanded, mut succ, mut deadlocks, mut edge_count, base_elapsed) =
-            match prior {
-                Some(g) => (
-                    g.states,
-                    g.expanded,
-                    g.succ,
-                    g.deadlocks,
-                    g.edge_count,
-                    g.elapsed,
-                ),
-                None => (
-                    vec![net.initial_marking().clone()],
-                    vec![false],
-                    vec![Vec::new()],
-                    Vec::new(),
-                    0,
-                    Duration::ZERO,
-                ),
-            };
-        let mut index: HashMap<Marking, StateId> = states
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.clone(), StateId::new(i)))
-            .collect();
-        let recorded_edges: usize = succ.iter().map(Vec::len).sum();
-        let mut bytes = states
-            .iter()
-            .map(|m| m.approx_bytes() + STATE_OVERHEAD_BYTES)
-            .sum::<usize>()
-            + recorded_edges * EDGE_BYTES;
-        let mut worklist: VecDeque<usize> = (0..states.len()).filter(|&i| !expanded[i]).collect();
-        let mut expanded_count = states.len() - worklist.len();
-
-        let mut exhausted = None;
-        while let Some(&frontier) = worklist.front() {
-            if let Some(reason) = budget.exceeded(states.len(), bytes) {
-                exhausted = Some(reason);
-                break;
-            }
-            worklist.pop_front();
-            let sid = StateId::new(frontier);
-            // take the marking out instead of cloning it; the index still
-            // holds an equal key, so lookups during expansion are unaffected
-            let m = std::mem::replace(&mut states[frontier], Marking::empty(0));
-            let mut any = false;
-            let edges_mark = succ[sid.index()].len();
-            let count_mark = edge_count;
-            let mut aborted = None;
-            for t in net.transitions() {
-                if !net.enabled(t, &m) {
-                    continue;
-                }
-                // re-check between successors so a single wide fan-out
-                // overshoots the budget by at most one state (mirrors the
-                // parallel engine's per-insertion check)
-                if let Some(reason) = budget.exceeded(states.len(), bytes) {
-                    aborted = Some(reason);
-                    break;
-                }
-                any = true;
-                let next = net.fire(t, &m)?;
-                let nid = match index.entry(next) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let nid = StateId::try_new(states.len())?;
-                        bytes += e.key().approx_bytes() + STATE_OVERHEAD_BYTES;
-                        states.push(e.key().clone());
-                        expanded.push(false);
-                        succ.push(Vec::new());
-                        worklist.push_back(nid.index());
-                        e.insert(nid);
-                        nid
-                    }
-                };
-                edge_count += 1;
-                if opts.record_edges {
-                    bytes += EDGE_BYTES;
-                    succ[sid.index()].push((t, nid));
-                }
-            }
-            states[frontier] = m;
-            if let Some(reason) = aborted {
-                // roll the interrupted expansion back so this state stays
-                // cleanly unexpanded (succ recorded ⟺ expanded) and a
-                // resumed run re-expands it exactly once; successors
-                // already stored stay — they are genuinely reachable
-                let rolled = succ[sid.index()].len() - edges_mark;
-                bytes -= rolled * EDGE_BYTES;
-                succ[sid.index()].truncate(edges_mark);
-                edge_count = count_mark;
-                exhausted = Some(reason);
-                break;
-            }
-            expanded[frontier] = true;
-            expanded_count += 1;
-            if !any {
-                deadlocks.push(sid);
-            }
-        }
-
-        let elapsed = base_elapsed + start.elapsed();
-        let stored = states.len();
-        let graph = ReachabilityGraph {
-            states,
-            expanded,
-            succ,
-            initial: StateId::new(0),
-            deadlocks,
-            edge_count,
-            elapsed,
-            threads_used: 1,
-        };
-        Ok(match exhausted {
-            None => Outcome::Complete(graph),
-            // re-classify at the stop: a cancel raised while the reason
-            // was latched must win deterministically (supervisor races)
-            Some(reason) => Outcome::Partial {
-                result: graph,
-                reason: budget.stop_reason(reason),
-                coverage: CoverageStats {
-                    states_stored: stored,
-                    states_expanded: expanded_count,
-                    frontier_len: stored.saturating_sub(expanded_count),
-                    bytes_estimate: bytes,
-                    elapsed,
-                },
-            },
-        })
-    }
-
-    /// The multi-threaded path of [`explore_resumed`](Self::explore_resumed),
-    /// built on the shared [`parallel`](crate::parallel) frontier engine.
-    fn explore_parallel(
-        net: &PetriNet,
-        opts: &ExploreOptions,
-        budget: &Budget,
-        prior: Option<Self>,
-    ) -> Result<Outcome<Self>, NetError> {
-        let start = Instant::now();
-        let threads = opts.threads;
+        let threads = opts.threads.max(1);
         let (seed, base_elapsed) = match prior {
-            Some(g) => (
-                FrontierSeed {
-                    states: g.states,
-                    expanded: g.expanded,
-                    succ: g
-                        .succ
-                        .into_iter()
-                        .map(|edges| edges.into_iter().map(|(t, dst)| (t, dst.0)).collect())
-                        .collect(),
-                    deadlocks: g.deadlocks.into_iter().map(|d| d.0).collect(),
-                    edge_count: g.edge_count,
-                },
-                g.elapsed,
-            ),
+            Some(g) => (g.graph, g.elapsed),
             None => (
-                FrontierSeed::initial(net.initial_marking().clone()),
+                FrontierResult::initial(net.initial_marking().clone()),
                 Duration::ZERO,
             ),
         };
@@ -444,26 +243,9 @@ impl ReachabilityGraph {
                 Ok(())
             },
         )?;
-        Ok(outcome.map(|result| ReachabilityGraph {
-            states: result.states,
-            expanded: result.expanded,
-            succ: result
-                .succ
-                .into_iter()
-                .map(|edges| {
-                    edges
-                        .into_iter()
-                        .map(|(t, dst)| (t, StateId::new(dst as usize)))
-                        .collect()
-                })
-                .collect(),
-            initial: StateId::new(0),
-            deadlocks: result
-                .deadlocks
-                .into_iter()
-                .map(|id| StateId::new(id as usize))
-                .collect(),
-            edge_count: result.edge_count,
+        Ok(outcome.map(|graph| ReachabilityGraph {
+            deadlocks: graph.deadlocks.iter().map(|&d| StateId(d)).collect(),
+            graph,
             elapsed: base_elapsed + start.elapsed(),
             threads_used: threads,
         }))
@@ -476,42 +258,23 @@ impl ReachabilityGraph {
     /// resumed run cannot silently end up with half-recorded edges.
     pub fn to_snapshot(&self, net: &PetriNet, record_edges: bool) -> Snapshot {
         let mut snap = Snapshot::new(EngineKind::Full, net);
-
-        let mut w = ByteWriter::new();
-        w.u32(net.place_count() as u32);
-        w.usize(self.states.len());
-        for m in &self.states {
-            write_marking(&mut w, m);
-        }
-        snap.push_section(section::STATES, w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        w.bools(&self.expanded);
-        snap.push_section(section::EXPANDED, w.into_bytes());
+        let (g, tags) = (&self.graph, [section::STATES, section::EXPANDED]);
+        write_states(&mut snap, tags, net, &g.states, &g.expanded);
 
         let mut w = ByteWriter::new();
         w.u8(u8::from(record_edges));
-        for edges in &self.succ {
+        for edges in &g.succ {
             w.u32(edges.len() as u32);
             for &(t, dst) in edges {
                 w.u32(t.index() as u32);
-                w.u32(dst.0);
+                w.u32(dst);
             }
         }
         snap.push_section(section::EDGES, w.into_bytes());
 
-        let mut w = ByteWriter::new();
-        w.usize(self.deadlocks.len());
-        for &d in &self.deadlocks {
-            w.u32(d.0);
-        }
-        snap.push_section(section::DEADLOCKS, w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        w.usize(self.edge_count);
-        w.u64(self.elapsed.as_nanos() as u64);
-        snap.push_section(section::COUNTERS, w.into_bytes());
-
+        let tags = [section::DEADLOCKS, section::COUNTERS];
+        let deadlocks = self.deadlocks.iter().map(|d| d.index());
+        write_deadlocks(&mut snap, tags, deadlocks, g.edge_count, self.elapsed);
         snap
     }
 
@@ -530,44 +293,8 @@ impl ReachabilityGraph {
         record_edges: bool,
     ) -> Result<Self, CheckpointError> {
         snap.validate(EngineKind::Full, net.fingerprint())?;
-
-        let mut r = ByteReader::new(snap.require_section(section::STATES)?, section::STATES);
-        let place_count = r.u32()? as usize;
-        if place_count != net.place_count() {
-            return Err(r.malformed(format!(
-                "snapshot has {place_count} places, net has {}",
-                net.place_count()
-            )));
-        }
-        let count = r.usize()?;
-        let mut states = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            states.push(read_marking(&mut r, place_count)?);
-        }
-        r.finish()?;
-        if states.is_empty() || &states[0] != net.initial_marking() {
-            return Err(CheckpointError::Malformed {
-                section: section::STATES,
-                detail: "state 0 is not the net's initial marking".into(),
-            });
-        }
-        let distinct: std::collections::HashSet<&Marking> = states.iter().collect();
-        if distinct.len() != states.len() {
-            return Err(CheckpointError::Malformed {
-                section: section::STATES,
-                detail: "duplicate markings in state table".into(),
-            });
-        }
-
-        let mut r = ByteReader::new(snap.require_section(section::EXPANDED)?, section::EXPANDED);
-        let expanded = r.bools()?;
-        r.finish()?;
-        if expanded.len() != count {
-            return Err(CheckpointError::Malformed {
-                section: section::EXPANDED,
-                detail: "expanded bitmap length disagrees with state count".into(),
-            });
-        }
+        let (states, expanded) = read_states(snap, [section::STATES, section::EXPANDED], net)?;
+        let count = states.len();
 
         let mut r = ByteReader::new(snap.require_section(section::EDGES)?, section::EDGES);
         let snap_recorded = r.u8()? != 0;
@@ -587,32 +314,15 @@ impl ReachabilityGraph {
                 if t >= net.transition_count() || dst >= count {
                     return Err(r.malformed("edge references an out-of-range id"));
                 }
-                edges.push((TransitionId::new(t), StateId::new(dst)));
+                edges.push((TransitionId::new(t), dst as u32));
             }
             recorded += n;
             succ.push(edges);
         }
         r.finish()?;
 
-        let mut r = ByteReader::new(
-            snap.require_section(section::DEADLOCKS)?,
-            section::DEADLOCKS,
-        );
-        let ndead = r.usize()?;
-        let mut deadlocks = Vec::with_capacity(ndead.min(count));
-        for _ in 0..ndead {
-            let d = r.u32()? as usize;
-            if d >= count || !expanded[d] {
-                return Err(r.malformed("deadlock id out of range or unexpanded"));
-            }
-            deadlocks.push(StateId::new(d));
-        }
-        r.finish()?;
-
-        let mut r = ByteReader::new(snap.require_section(section::COUNTERS)?, section::COUNTERS);
-        let edge_count = r.usize()?;
-        let elapsed = Duration::from_nanos(r.u64()?);
-        r.finish()?;
+        let tags = [section::DEADLOCKS, section::COUNTERS];
+        let (deadlocks, edge_count, elapsed) = read_deadlocks(snap, tags, &expanded)?;
         if edge_count < recorded {
             return Err(CheckpointError::Malformed {
                 section: section::COUNTERS,
@@ -621,12 +331,15 @@ impl ReachabilityGraph {
         }
 
         Ok(ReachabilityGraph {
-            states,
-            expanded,
-            succ,
-            initial: StateId::new(0),
-            deadlocks,
-            edge_count,
+            graph: FrontierResult {
+                states,
+                expanded,
+                succ,
+                origin: Vec::new(),
+                deadlocks: deadlocks.iter().map(|&d| d as u32).collect(),
+                edge_count,
+            },
+            deadlocks: deadlocks.into_iter().map(StateId::new).collect(),
             elapsed,
             threads_used: 1,
         })
@@ -634,12 +347,12 @@ impl ReachabilityGraph {
 
     /// Number of reachable states.
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.graph.states.len()
     }
 
     /// Number of edges (fired transitions) in the graph.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.graph.edge_count
     }
 
     /// Wall-clock exploration time.
@@ -652,7 +365,7 @@ impl ReachabilityGraph {
     pub fn states_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
-            self.states.len() as f64 / secs
+            self.graph.states.len() as f64 / secs
         } else {
             f64::INFINITY
         }
@@ -665,22 +378,27 @@ impl ReachabilityGraph {
 
     /// The initial state.
     pub fn initial(&self) -> StateId {
-        self.initial
+        StateId(0)
     }
 
     /// The marking of state `s`.
     pub fn marking(&self, s: StateId) -> &Marking {
-        &self.states[s.index()]
+        &self.graph.states[s.index()]
     }
 
     /// Iterates over all state ids.
     pub fn states(&self) -> impl ExactSizeIterator<Item = StateId> + '_ {
-        (0..self.states.len()).map(StateId::new)
+        (0..self.graph.states.len()).map(StateId::new)
     }
 
-    /// Outgoing labelled edges of `s` (empty if edges were not recorded).
-    pub fn successors(&self, s: StateId) -> &[(TransitionId, StateId)] {
-        &self.succ[s.index()]
+    /// Outgoing labelled edges of `s` (none if edges were not recorded).
+    pub fn successors(
+        &self,
+        s: StateId,
+    ) -> impl ExactSizeIterator<Item = (TransitionId, StateId)> + '_ {
+        self.graph.succ[s.index()]
+            .iter()
+            .map(|&(t, dst)| (t, StateId(dst)))
     }
 
     /// States with no enabled transition (deadlock / termination states).
@@ -697,7 +415,11 @@ impl ReachabilityGraph {
     pub fn find(&self, m: &Marking) -> Option<StateId> {
         // Linear scan is acceptable for test-sized graphs; exploration keeps
         // its own hash index internally.
-        self.states.iter().position(|s| s == m).map(StateId::new)
+        self.graph
+            .states
+            .iter()
+            .position(|s| s == m)
+            .map(StateId::new)
     }
 
     /// Checks whether a marking is reachable.
@@ -709,15 +431,15 @@ impl ReachabilityGraph {
     ///
     /// Returns `None` if `target` is unreachable or edges were not recorded.
     pub fn path_to(&self, target: StateId) -> Option<Vec<TransitionId>> {
-        if target == self.initial {
+        if target == self.initial() {
             return Some(Vec::new());
         }
-        let mut pred: Vec<Option<(StateId, TransitionId)>> = vec![None; self.states.len()];
-        let mut queue = std::collections::VecDeque::from([self.initial]);
-        let mut seen = vec![false; self.states.len()];
-        seen[self.initial.index()] = true;
+        let mut pred: Vec<Option<(StateId, TransitionId)>> = vec![None; self.state_count()];
+        let mut queue = std::collections::VecDeque::from([self.initial()]);
+        let mut seen = vec![false; self.state_count()];
+        seen[0] = true;
         while let Some(s) = queue.pop_front() {
-            for &(t, n) in self.successors(s) {
+            for (t, n) in self.successors(s) {
                 if !seen[n.index()] {
                     seen[n.index()] = true;
                     pred[n.index()] = Some((s, t));
@@ -765,11 +487,11 @@ impl ReachabilityGraph {
             }
             marks[s.index()] = Mark::Grey;
             let succs = rg.successors(s);
-            let v = if succs.is_empty() {
+            let v = if succs.len() == 0 {
                 1
             } else {
                 let mut sum: u128 = 0;
-                for &(_, n) in succs {
+                for (_, n) in succs {
                     sum += visit(rg, n, marks, memo)?;
                 }
                 sum
@@ -778,9 +500,9 @@ impl ReachabilityGraph {
             memo[s.index()] = Some(v);
             Some(v)
         }
-        let mut marks = vec![Mark::White; self.states.len()];
-        let mut memo = vec![None; self.states.len()];
-        visit(self, self.initial, &mut marks, &mut memo)
+        let mut marks = vec![Mark::White; self.state_count()];
+        let mut memo = vec![None; self.state_count()];
+        visit(self, self.initial(), &mut marks, &mut memo)
     }
 }
 
@@ -881,7 +603,7 @@ mod tests {
         };
         let rg = ReachabilityGraph::explore_with(&net, &opts).unwrap();
         assert_eq!(rg.state_count(), 8);
-        assert!(rg.successors(rg.initial()).is_empty());
+        assert_eq!(rg.successors(rg.initial()).len(), 0);
         assert_eq!(rg.edge_count(), 12, "edge count still tracked");
     }
 
@@ -985,6 +707,37 @@ mod tests {
         .into_value();
         assert_eq!(resumed.state_count(), 32);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn byte_trip_rolled_back_under_the_cap_still_ends_the_run() {
+        // each state of a 3-cycle fires into both others, so an expansion
+        // can trip the byte cap on its second edge and roll the first one
+        // back, leaving the estimate under the cap again; the segment
+        // loop must report that as a memory stop, not rerun it
+        let net = crate::parse_net(
+            "net triangle\npl a *\npl b\npl c\ntr ab : a -> b\ntr ac : a -> c\n\
+             tr ba : b -> a\ntr bc : b -> c\ntr ca : c -> a\ntr cb : c -> b\n",
+        )
+        .unwrap();
+        let opts = ExploreOptions {
+            threads: 1,
+            ..Default::default()
+        };
+        for cap in 0..512 {
+            let budget = Budget::default().cap_bytes(cap);
+            let out = ReachabilityGraph::explore_checkpointed(
+                &net,
+                &opts,
+                &budget,
+                &CheckpointConfig::default(),
+                None,
+            )
+            .unwrap();
+            if let Some(reason) = out.reason() {
+                assert_eq!(reason, crate::ExhaustionReason::Memory, "cap {cap}");
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,18 @@ fn chain(n: usize) -> PetriNet {
     b.build().unwrap()
 }
 
+/// One marked hub firing into `width` leaves: the first expansion leaves
+/// a whole batch of items in its owner's deque at once.
+fn fan(width: usize) -> PetriNet {
+    let mut b = NetBuilder::new("fan");
+    let hub = b.place_marked("hub");
+    for i in 0..width {
+        let leaf = b.place(format!("leaf{i}"));
+        b.transition(format!("t{i}"), [hub], [leaf]);
+    }
+    b.build().unwrap()
+}
+
 fn net_successors(
     net: &PetriNet,
 ) -> impl Fn(&Marking, &mut Vec<(petri::TransitionId, Marking)>) -> Result<(), NetError> + Sync + '_
@@ -39,7 +51,7 @@ fn net_successors(
 #[test]
 fn injected_panic_surfaces_within_bounded_time() {
     let net = chain(64);
-    for threads in [2usize, 8] {
+    for threads in [1usize, 2, 8] {
         for fault_after in [1usize, 5, 20] {
             let start = Instant::now();
             let result = explore_frontier(
@@ -125,8 +137,11 @@ fn fault_injection_composes_with_budgets() {
 fn panic_mid_steal_surfaces_within_bounded_time() {
     // the thief dies after draining its victim and before re-homing the
     // batch — the items are lost with it, so quiescence can only end via
-    // the recorded error, never via the pending counter reaching zero
-    let net = chain(64);
+    // the recorded error, never via the pending counter reaching zero.
+    // The net fans out: a chain would leave at most one item in a deque,
+    // which its owner pops straight back, so a steal would need a thief
+    // to win that race
+    let net = fan(64);
     let start = Instant::now();
     let result = explore_frontier(
         net.initial_marking().clone(),
@@ -136,8 +151,9 @@ fn panic_mid_steal_surfaces_within_bounded_time() {
             ..Default::default()
         },
         |m: &Marking, out: &mut Vec<(petri::TransitionId, Marking)>| {
-            // linger so expanded items sit in the owner's deque long
-            // enough that an idle worker is guaranteed to steal
+            // linger so the fanned-out batch sits in the owner's deque
+            // while it expands one item, long enough for an idle worker
+            // to steal from it
             std::thread::sleep(Duration::from_millis(5));
             for t in net.transitions() {
                 if net.enabled(t, m) {
@@ -159,7 +175,7 @@ fn id_overflow_near_u32_max_fails_closed() {
     // StateIdOverflow (never a wrapped/colliding id) with all workers
     // joined promptly
     let net = chain(64);
-    for threads in [2usize, 8] {
+    for threads in [1usize, 2, 8] {
         let start = Instant::now();
         let result = explore_frontier(
             net.initial_marking().clone(),

@@ -136,8 +136,6 @@ proptest! {
 /// one successor per worker, on both axes, at every thread count.
 #[test]
 fn wide_fanout_overshoot_is_bounded_per_worker() {
-    use petri::parallel::STATE_OVERHEAD_BYTES;
-
     let fanout = 256;
     let mut b = NetBuilder::new("star");
     let hub = b.place_marked("hub");
@@ -146,12 +144,21 @@ fn wide_fanout_overshoot_is_bounded_per_worker() {
         b.transition(format!("t{i}"), [hub], [leaf]);
     }
     let net = b.build().unwrap();
-    let full = ReachabilityGraph::explore(&net).unwrap();
-    let max_state_bytes = full
-        .states()
-        .map(|s| full.marking(s).approx_bytes() + STATE_OVERHEAD_BYTES)
-        .max()
-        .unwrap();
+    // every marking of a net has the same footprint, so the engine's own
+    // estimate for a run that stored only the initial marking is the
+    // per-state figure, bookkeeping overhead included
+    let max_state_bytes = ReachabilityGraph::explore_bounded(
+        &net,
+        &ExploreOptions {
+            record_edges: false,
+            ..Default::default()
+        },
+        &Budget::default().cap_states(0),
+    )
+    .unwrap()
+    .coverage()
+    .unwrap()
+    .bytes_estimate;
 
     for threads in THREADS {
         let state_cap = 4;

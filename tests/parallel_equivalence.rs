@@ -3,10 +3,11 @@
 //! state *set*, the deadlock marking *set*, and the edge *count* are
 //! identical — only state ids may permute.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use gpo_suite::prelude::*;
-use petri::ExploreOptions;
+use partial_order::StubbornSets;
+use petri::{CheckpointConfig, ExploreOptions};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -234,6 +235,114 @@ fn steal_heavy_schedule_identical_across_thread_counts() {
         match &gpo_base {
             None => gpo_base = Some(obs),
             Some(b) => assert_eq!(b, &obs, "gpo engine diverges at threads={threads}"),
+        }
+    }
+}
+
+/// An independent breadth-first search: every marking in discovery order
+/// and each state's labelled edges (dense ids). `fire` lists the
+/// transitions to fire at a marking — all enabled ones, or a stubborn
+/// set's.
+fn bfs_oracle(
+    net: &PetriNet,
+    fire: impl Fn(&Marking) -> Vec<TransitionId>,
+) -> (Vec<Marking>, Vec<Vec<(TransitionId, usize)>>) {
+    let mut states = vec![net.initial_marking().clone()];
+    let mut ids = HashMap::from([(states[0].clone(), 0)]);
+    let mut edges = Vec::new();
+    while edges.len() < states.len() {
+        let cur = edges.len();
+        let mut out = Vec::new();
+        for t in fire(&states[cur]) {
+            let next = net.fire(t, &states[cur]).unwrap();
+            let id = *ids.entry(next.clone()).or_insert_with(|| {
+                states.push(next);
+                states.len() - 1
+            });
+            out.push((t, id));
+        }
+        edges.push(out);
+    }
+    (states, edges)
+}
+
+/// The firing sequence to `target` along the breadth-first first-reach
+/// tree: each state's parent is the lowest id with an edge into it.
+fn oracle_path(edges: &[Vec<(TransitionId, usize)>], mut target: usize) -> Vec<TransitionId> {
+    let mut path = Vec::new();
+    while target != 0 {
+        let (parent, t) = (0..edges.len())
+            .find_map(|p| edges[p].iter().find(|e| e.1 == target).map(|e| (p, e.0)))
+            .expect("every state is reached");
+        path.push(t);
+        target = parent;
+    }
+    path.reverse();
+    path
+}
+
+/// One worker explores in breadth-first discovery order, so at
+/// `threads = 1` the full and the reduced engine must number their states
+/// exactly like an independent BFS: same marking per id, same edges, same
+/// deadlock ids, and `path_to` follows the BFS first-reach tree. A full
+/// run interrupted at a third of its states and resumed from its snapshot
+/// must number them the same way.
+#[test]
+fn single_thread_ids_follow_an_independent_bfs() {
+    let mut nets = model_zoo();
+    nets.push(("comb(40,8)".into(), steal_heavy_comb(40, 8)));
+    let (unbounded, no_ckpt) = (Budget::default(), CheckpointConfig::default());
+    for (name, net) in nets {
+        let (states, edges) = bfs_oracle(&net, |m| {
+            net.transitions().filter(|&t| net.enabled(t, m)).collect()
+        });
+        let cap = Budget::default().cap_states(states.len() / 3);
+        let opts = ExploreOptions {
+            threads: 1,
+            ..Default::default()
+        };
+        let partial = ReachabilityGraph::explore_bounded(&net, &opts, &cap).unwrap();
+        let snap = partial.value().to_snapshot(&net, true);
+        let resumed =
+            ReachabilityGraph::explore_checkpointed(&net, &opts, &unbounded, &no_ckpt, Some(&snap));
+        let whole = ReachabilityGraph::explore_with(&net, &opts).unwrap();
+        for rg in [whole, resumed.unwrap().into_value()] {
+            let markings: Vec<Marking> = rg.states().map(|s| rg.marking(s).clone()).collect();
+            assert_eq!(markings, states, "{name}: marking per id");
+            let dead: Vec<usize> = (0..states.len()).filter(|&i| edges[i].is_empty()).collect();
+            let rg_dead: Vec<usize> = rg.deadlocks().iter().map(|s| s.index()).collect();
+            assert_eq!(rg_dead, dead, "{name}: deadlock ids");
+            for s in rg.states() {
+                let succ: Vec<_> = rg.successors(s).map(|(t, d)| (t, d.index())).collect();
+                assert_eq!(succ, edges[s.index()], "{name}: edges of {s}");
+                let path = Some(oracle_path(&edges, s.index()));
+                assert_eq!(rg.path_to(s), path, "{name}: path to {s}");
+            }
+        }
+
+        for strategy in [
+            SeedStrategy::FirstEnabled,
+            SeedStrategy::BestOfEnabled,
+            SeedStrategy::ConflictCluster,
+        ] {
+            let stubborn = StubbornSets::new(&net, strategy);
+            let (states, edges) = bfs_oracle(&net, |m| stubborn.enabled_stubborn(m));
+            let opts = ReducedOptions {
+                strategy,
+                threads: 1,
+                ..Default::default()
+            };
+            let red = ReducedReachability::explore_with(&net, &opts).unwrap();
+            let tag = format!("{name}/{strategy:?}");
+            assert!(red.markings().eq(&states), "{tag}: marking per id");
+            let dead = (0..states.len()).filter(|&i| edges[i].is_empty());
+            let oracle_dead = dead.map(|i| &states[i]);
+            assert!(
+                red.deadlock_markings().eq(oracle_dead),
+                "{tag}: deadlocks in id order"
+            );
+            let fired: usize = edges.iter().map(Vec::len).sum();
+            assert_eq!(red.edge_count(), fired, "{tag}: edge count");
         }
     }
 }
