@@ -52,7 +52,7 @@ use petri::{
 };
 use unfolding::{UnfoldOptions, Unfolding};
 
-use julie::engine::{self, RunSpec};
+use julie::engine::{self, RunSpec, AUTO};
 use julie::portfolio::{self, PortfolioOptions};
 use julie::{flag, option, positional, serve, signals};
 
@@ -522,7 +522,7 @@ fn portfolio_options_from_args(args: &[String]) -> Result<PortfolioOptions, Stri
 }
 
 fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
-    let engine = option(args, "engine").unwrap_or("gpo");
+    let engine = option(args, "engine").unwrap_or(engine::DEFAULT_ENGINE);
     let json_mode = flag(args, "json");
     let budget = budget_from_args(args)?;
     let witnesses: usize = option(args, "witnesses")
@@ -549,10 +549,11 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
     };
     if !spec.supports_checkpoint() && (!ckpt.is_disabled() || resume.is_some()) {
         return Err(format!(
-            "engine `{engine}` does not support --checkpoint/--resume (use full, po, gpo, or auto)"
+            "engine `{engine}` does not support --checkpoint/--resume (use {}, or {AUTO})",
+            engine::engine_names(|e| e.checkpoint)
         ));
     }
-    if engine != "auto" {
+    if engine != AUTO {
         for f in ["legs", "stage-delay-ms", "watchdog-secs"] {
             if option(args, f).is_some() {
                 return Err(format!("--{f} requires --engine=auto"));
@@ -562,7 +563,7 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
     // engine-stamp direction check: a solo run must not resume a
     // portfolio snapshot, and --engine=auto must not resume a solo one
     if let Some(snap) = &resume {
-        portfolio::check_resume_engine(snap, engine == "auto")?;
+        portfolio::check_resume_engine(snap, engine == AUTO)?;
     }
 
     // Structural reduction pre-pass: every engine below explores `target`
@@ -631,7 +632,7 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
     // the run exits 2 (inconclusive) instead of dying mid-write
     signals::cancel_on_termination(budget.cancel.clone());
 
-    let report = if engine == "auto" {
+    let report = if engine == AUTO {
         let opts = portfolio_options_from_args(args)?;
         let outcome = portfolio::run_portfolio(
             original,

@@ -34,13 +34,14 @@ use petri::{
     Budget, CheckpointConfig, EngineStamp, ExhaustionReason, PetriNet, Reduction, Snapshot, Verdict,
 };
 
-use crate::engine::{run_engine, RunSpec};
+use crate::engine::{engine, run_engine, PropertySupport, RunSpec, AUTO, ENGINES};
 use crate::report::{CheckReport, LegReport};
 
-/// Engines the portfolio may race (in escalation order of the default
-/// schedule). `classes` is excluded: it has no budget hooks, so it cannot
-/// be cancelled when it loses.
-pub const RACEABLE: [&str; 6] = ["po", "gpo", "pdr", "bdd", "unfold", "full"];
+/// Engines the portfolio may race, in escalation order of the default
+/// schedule: the engine table's rows with a stage.
+pub fn raceable() -> impl Iterator<Item = &'static str> {
+    ENGINES.iter().filter(|e| e.stage.is_some()).map(|e| e.name)
+}
 
 /// Supervisor knobs of one `--engine=auto` run.
 #[derive(Debug, Clone)]
@@ -55,32 +56,32 @@ pub struct PortfolioOptions {
     /// cooperatively and retired (its partial result still competes for
     /// the best-coverage fallback).
     pub watchdog: Option<Duration>,
-    /// Retry a panicked/errored leg once with a fresh budget slice.
-    pub retry: bool,
-    /// Run every leg to completion (no cancel storm on a win) and
-    /// cross-check all sound verdicts before answering. Slower; used by
-    /// equivalence tests to make disagreement detection deterministic.
-    pub cross_check_all: bool,
     /// Fault hook: this leg panics instead of running (exercises the
     /// isolation path; wired to `JULIE_PORTFOLIO_PANIC_LEG` by the CLI).
     pub inject_panic: Option<String>,
     /// Fault hook: this leg's sound verdict is flipped (fabricates a
-    /// cross-engine disagreement; `JULIE_PORTFOLIO_FLIP_LEG`).
+    /// cross-engine disagreement; `JULIE_PORTFOLIO_FLIP_LEG`). Implies
+    /// running every leg to completion (no cancel storm on a win) and
+    /// cross-checking all sound verdicts, so the flip always surfaces.
     pub inject_flip: Option<String>,
 }
 
 impl Default for PortfolioOptions {
     fn default() -> Self {
+        // each raceable engine in the stage its table row names
+        let mut stages: Vec<Vec<String>> = Vec::new();
+        for e in ENGINES {
+            if let Some(stage) = e.stage {
+                if stages.len() <= stage {
+                    stages.resize(stage + 1, Vec::new());
+                }
+                stages[stage].push(e.name.to_string());
+            }
+        }
         PortfolioOptions {
-            stages: vec![
-                vec!["po".into(), "gpo".into(), "pdr".into()],
-                vec!["bdd".into(), "unfold".into()],
-                vec!["full".into()],
-            ],
+            stages,
             stage_delay: Duration::from_millis(250),
             watchdog: None,
-            retry: true,
-            cross_check_all: false,
             inject_panic: None,
             inject_flip: None,
         }
@@ -104,10 +105,10 @@ impl PortfolioOptions {
                 return Err("empty stage (use e.g. --legs=po,gpo/full)".into());
             }
             for leg in &legs {
-                if !RACEABLE.contains(&leg.as_str()) {
+                if !raceable().any(|r| r == leg) {
                     return Err(format!(
                         "unknown leg `{leg}` (raceable engines: {})",
-                        RACEABLE.join(", ")
+                        raceable().collect::<Vec<_>>().join(", ")
                     ));
                 }
                 if seen.contains(leg) {
@@ -198,6 +199,9 @@ struct LegDone {
 struct LegState {
     engine: String,
     stage: usize,
+    /// Why the leg is never launched, when it would only duplicate
+    /// another leg's search.
+    skip: Option<String>,
     budget: Budget,
     launched: Option<Instant>,
     done: Option<LegDone>,
@@ -311,7 +315,7 @@ pub fn run_portfolio(
     resume: Option<&Snapshot>,
     opts: &PortfolioOptions,
 ) -> Result<PortfolioOutcome, String> {
-    debug_assert_eq!(spec.engine, "auto");
+    debug_assert_eq!(spec.engine, AUTO);
     let names = opts.leg_names();
     if names.is_empty() {
         return Err("portfolio schedule has no legs".into());
@@ -337,17 +341,27 @@ pub fn run_portfolio(
         }
         None => None,
     };
+    // a leg that answers this property with another scheduled leg's search
+    // would only race that search against itself (the resumed leg still
+    // runs: it carries the snapshot's progress)
+    let skip = |name: &str| -> Option<String> {
+        if spec.property.is_default() || resumed_engine.as_deref() == Some(name) {
+            return None;
+        }
+        match engine(name).ok()?.property {
+            PropertySupport::Via { engine: via, .. } if names.iter().any(|n| n == via) => Some(
+                format!("runs the same search as leg `{via}` for this property"),
+            ),
+            _ => None,
+        }
+    };
     let ckpt_leg = if ckpt.is_disabled() {
         None
     } else {
         resumed_engine.clone().or_else(|| {
             names
                 .iter()
-                .find(|n| {
-                    let mut s = spec.clone();
-                    s.engine = (*n).clone();
-                    s.supports_checkpoint()
-                })
+                .find(|n| skip(n).is_none() && engine(n).is_ok_and(|e| e.checkpoint))
                 .cloned()
         })
     };
@@ -358,6 +372,7 @@ pub fn run_portfolio(
             legs.push(LegState {
                 engine: name.clone(),
                 stage: stage_idx,
+                skip: skip(name),
                 budget: budget.with_fresh_cancel(),
                 launched: None,
                 done: None,
@@ -369,7 +384,7 @@ pub fn run_portfolio(
 
     // a fabricated flip only surfaces if a second sound verdict arrives,
     // so the flip hook implies running every leg to completion
-    let cross_check_all = opts.cross_check_all || opts.inject_flip.is_some();
+    let cross_check_all = opts.inject_flip.is_some();
     let (tx, rx) = mpsc::channel::<LegDone>();
     let race_start = Instant::now();
     let mut winner: Option<usize> = None;
@@ -447,7 +462,7 @@ pub fn run_portfolio(
             }
             let stage = next_stage;
             for (i, leg) in legs.iter_mut().enumerate() {
-                if leg.stage == stage {
+                if leg.stage == stage && leg.skip.is_none() {
                     launch(leg, i, 0, &mut handles, &tx);
                     pending += 1;
                 }
@@ -515,7 +530,6 @@ pub fn run_portfolio(
                         }
                     }
                 } else if retryable
-                    && opts.retry
                     && winner.is_none()
                     && !external_cancel
                     && legs[idx].attempts < 2
@@ -631,7 +645,9 @@ fn leg_table(legs: &[LegState], winner: Option<usize>) -> Vec<LegReport> {
             let (outcome, why, states, wall) = match &leg.done {
                 None => (
                     "not-launched".to_string(),
-                    "race resolved before its stage launched".to_string(),
+                    leg.skip
+                        .clone()
+                        .unwrap_or_else(|| "race resolved before its stage launched".to_string()),
                     0,
                     Duration::ZERO,
                 ),

@@ -5,7 +5,8 @@
 //! (a dropped socket is a dropped client).
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 use crate::json::Json;
 
@@ -13,6 +14,10 @@ use crate::json::Json;
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body — nets are text, 16 MiB is generous.
 pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+/// Most unread input [`linger_close`] discards.
+const LINGER_BYTES: usize = 1024 * 1024;
+/// Longest [`linger_close`] waits for the client's remaining input.
+const LINGER_TIME: Duration = Duration::from_secs(1);
 
 /// One parsed request.
 #[derive(Debug)]
@@ -29,12 +34,14 @@ pub struct Request {
 /// clean EOF before any bytes (client connected and went away).
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     let mut reader = BufReader::new(stream);
-    let mut head = String::new();
-    let mut line = String::new();
-    // request line + headers, CRLF-terminated, bounded
+    let mut head = Vec::new();
+    // request line + headers, CRLF-terminated, bounded: each line is read
+    // through the head's remaining allowance, so a client that never sends
+    // a newline cannot make the server buffer without limit
     loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
+        let line_start = head.len();
+        let allowance = (MAX_HEAD_BYTES + 1 - head.len()) as u64;
+        let n = (&mut reader).take(allowance).read_until(b'\n', &mut head)?;
         if n == 0 {
             return if head.is_empty() {
                 Ok(None)
@@ -45,17 +52,18 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
                 ))
             };
         }
-        head.push_str(&line);
         if head.len() > MAX_HEAD_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "request head too large",
             ));
         }
-        if line == "\r\n" || line == "\n" {
+        if matches!(&head[line_start..], b"\r\n" | b"\n") {
             break;
         }
     }
+    let head = String::from_utf8(head)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "request head is not UTF-8"))?;
     let mut lines = head.lines();
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();
@@ -87,6 +95,28 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok(Some(Request { method, path, body }))
+}
+
+/// Closes a connection whose request was refused before it was read in
+/// full. Closing a socket with unread input resets the connection, which
+/// can discard the response before the client reads it; so this sends
+/// the end of the response and discards the client's remaining input,
+/// bounded in bytes and time, first.
+pub fn linger_close(mut stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER_TIME;
+    let mut buf = [0u8; 8192];
+    let mut drained = 0;
+    while drained < LINGER_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 /// The standard reason phrase for the handful of statuses serve uses.

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use petri::checkpoint::{read_checkpoint, write_checkpoint};
 use petri::{parse_net, EngineKind, JobStamp, PetriNet, Snapshot};
 
+use crate::engine::{self, AUTO, DEFAULT_ENGINE};
 use crate::json::Json;
 
 /// Section tag for the serialized job spec inside `spec.job`.
@@ -81,13 +82,12 @@ impl JobSpec {
                     .ok_or("field `engine` must be a string")
             })
             .transpose()?
-            .unwrap_or_else(|| "gpo".to_string());
-        if !matches!(
-            engine.as_str(),
-            "full" | "po" | "gpo" | "pdr" | "bdd" | "unfold" | "classes" | "auto"
-        ) {
-            return Err(format!("unknown engine `{engine}`"));
-        }
+            .unwrap_or_else(|| DEFAULT_ENGINE.to_string());
+        let row = if engine == AUTO {
+            None
+        } else {
+            Some(engine::engine(&engine)?)
+        };
         let uint = |key: &str, default: usize| -> Result<usize, String> {
             match body.get(key) {
                 None => Ok(default),
@@ -118,11 +118,8 @@ impl JobSpec {
                 parsed
             }
         };
-        if engine == "classes" && !property.is_default() {
-            return Err(format!(
-                "engine `classes` supports only the default property `EF deadlock` \
-                 (got `{property}`)"
-            ));
+        if let Some(row) = row {
+            row.accepts(&property)?;
         }
         let spec = JobSpec {
             id,

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use crate::json::Json;
 use crate::signals;
 
-use self::http::{read_request, respond_json, ChunkedWriter, Request};
+use self::http::{linger_close, read_request, respond_json, ChunkedWriter, Request};
 use self::store::{Admission, CancelOutcome, Store};
 
 /// Parsed `julie serve` configuration.
@@ -177,7 +177,9 @@ fn handle_connection(
         Ok(Some(r)) => r,
         Ok(None) => return Ok(()),
         Err(e) => {
-            return respond_json(&mut stream, 400, &[], &error_json(&e.to_string()));
+            respond_json(&mut stream, 400, &[], &error_json(&e.to_string()))?;
+            linger_close(&stream);
+            return Ok(());
         }
     };
     route(&request, &mut stream, store, max_job_states)

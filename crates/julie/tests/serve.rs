@@ -284,6 +284,55 @@ fn bad_submissions_are_rejected_with_400() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A property nested 200,000 levels deep is a parse error, not a stack
+/// overflow: the submission gets a 400 and the server keeps serving.
+#[test]
+fn deeply_nested_property_is_rejected_and_serving_continues() {
+    let dir = temp_dir("deepprop");
+    let server = Server::start(&dir, &[]);
+    let property = format!("EF {}deadlock", "(".repeat(200_000));
+    let body = format!("{{\"net\":\"net x\\npl p *\\n\",\"property\":\"{property}\"}}");
+    let (status, _, payload) = request(server.port, "POST", "/jobs", Some(&body));
+    assert_eq!(status, 400, "{payload}");
+    assert!(payload.contains("nests deeper"), "{payload}");
+    let (status, _, _) = request(server.port, "GET", "/healthz", None);
+    assert_eq!(status, 200);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A request head that never ends its line is cut off at the head bound:
+/// the client gets a 400 while it still holds the socket open, instead of
+/// the server buffering without limit.
+#[test]
+fn unterminated_request_head_is_bounded() {
+    let dir = temp_dir("longhead");
+    let server = Server::start(&dir, &[]);
+    let mut stream = TcpStream::connect(("127.0.0.1", server.port)).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&[b'a'; 64 * 1024]).unwrap();
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    // read until the response is complete; a timeout here means the
+    // server is still waiting for a newline
+    loop {
+        let n = stream
+            .read(&mut buf)
+            .expect("the server answers before the read timeout");
+        if n == 0 {
+            break;
+        }
+        raw.extend_from_slice(&buf[..n]);
+    }
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+    assert!(raw.contains("request head too large"), "{raw}");
+    let (status, _, _) = request(server.port, "GET", "/healthz", None);
+    assert_eq!(status, 200);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn small_job_completes_with_the_solo_verdict() {
     let dir = temp_dir("small");

@@ -3,19 +3,20 @@
 
 use models::random::{random_safe_net, RandomNetConfig};
 use pdr::{check_bounded, validate};
-use petri::{Budget, ExploreOptions, Outcome, PetriNet, Property};
+use petri::{Budget, ExploreOptions, Outcome, PetriNet, Property, ReachabilityGraph};
 
 fn compiled(net: &PetriNet, text: &str) -> petri::CompiledProperty {
     Property::parse(text).unwrap().compile(net).unwrap()
 }
 
 /// Enumerative ground truth: is some reachable marking a goal marking?
+/// `explore_with` either explores the whole space or fails.
 fn brute_force_goal_reachable(net: &PetriNet, prop: &Property) -> bool {
-    let report =
-        petri::verify_bounded_property(net, &ExploreOptions::default(), &Budget::default(), prop)
-            .expect("exploration succeeds");
-    assert!(report.verdict.is_sound(), "ground truth must be exhaustive");
-    report.report.has_deadlock
+    let goal = prop.compile(net).unwrap();
+    let rg = ReachabilityGraph::explore_with(net, &ExploreOptions::default())
+        .expect("exploration succeeds");
+    let found = rg.states().any(|s| goal.goal(net, rg.marking(s)));
+    found
 }
 
 #[test]

@@ -6,14 +6,11 @@
 
 use std::time::{Duration, Instant};
 
-use crate::budget::{Budget, CoverageStats, ExhaustionReason, Verdict};
 use crate::error::NetError;
 use crate::ids::TransitionId;
 use crate::marking::Marking;
 use crate::net::PetriNet;
-use crate::property::Property;
-use crate::reachability::{ExploreOptions, ReachabilityGraph, StateId};
-use crate::reduce::{reduce, ReduceOptions, ReductionReport};
+use crate::reachability::{ExploreOptions, ReachabilityGraph};
 
 /// Outcome of exhaustively verifying a safe net.
 ///
@@ -80,175 +77,6 @@ pub fn verify_with(net: &PetriNet, opts: &ExploreOptions) -> Result<Verification
     let start = Instant::now();
     let rg = ReachabilityGraph::explore_with(net, opts)?;
     Ok(derive_report(net, &rg, start.elapsed()))
-}
-
-/// Verdict of a budget-governed verification run.
-///
-/// Unlike [`VerificationReport`] alone, this records whether the exploration
-/// covered the whole state space. The embedded [`Verdict`] encodes the
-/// three-valued answer: a deadlock found in a partial graph is a real,
-/// replayable counterexample (every stored marking is reachable), but
-/// deadlock *freedom* is only claimed when the exploration completed.
-#[derive(Debug, Clone)]
-pub struct BoundedReport {
-    /// Facts derived from the (possibly partial) reachability graph.
-    pub report: VerificationReport,
-    /// Three-valued deadlock verdict.
-    pub verdict: Verdict,
-    /// Which budget axis ran out, if the exploration was cut short.
-    pub exhausted: Option<ExhaustionReason>,
-    /// Coverage statistics of a partial run (`None` when complete).
-    pub coverage: Option<CoverageStats>,
-    /// What the structural reduction pre-pass did, when one ran
-    /// ([`verify_bounded_reduced`]); `None` for unreduced runs.
-    pub reduction: Option<ReductionReport>,
-    /// The property this run answered. [`Property::deadlock`] for the
-    /// plain deadlock entry points; for non-default properties
-    /// ([`verify_bounded_property`]) the `has_deadlock`/witness fields of
-    /// the embedded report describe the property's *goal* markings
-    /// (φ-states under `EF`, ¬φ-states under `AG`) instead of deadlocks.
-    pub property: Property,
-}
-
-impl BoundedReport {
-    /// `true` if the whole reachable state space was explored.
-    pub fn is_complete(&self) -> bool {
-        self.exhausted.is_none()
-    }
-}
-
-/// Like [`verify_with`], but governed by a cooperative resource [`Budget`]:
-/// instead of failing when a limit is hit, returns the facts established so
-/// far together with an [`Verdict::Inconclusive`] verdict.
-///
-/// # Errors
-///
-/// Returns [`NetError::NotSafe`] on safeness violations or
-/// [`NetError::WorkerPanicked`] if a parallel worker died.
-///
-/// # Examples
-///
-/// ```
-/// use petri::{Budget, NetBuilder, verify_bounded, Verdict};
-///
-/// let mut b = NetBuilder::new("chain");
-/// let mut prev = b.place_marked("p0");
-/// for i in 1..20 {
-///     let next = b.place(format!("p{i}"));
-///     b.transition(format!("t{i}"), [prev], [next]);
-///     prev = next;
-/// }
-/// let net = b.build()?;
-/// let bounded = verify_bounded(&net, &Default::default(), &Budget::default().cap_states(5))?;
-/// assert!(matches!(bounded.verdict, Verdict::Inconclusive { .. }));
-/// assert!(bounded.coverage.is_some());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn verify_bounded(
-    net: &PetriNet,
-    opts: &ExploreOptions,
-    budget: &Budget,
-) -> Result<BoundedReport, NetError> {
-    verify_bounded_property(net, opts, budget, &Property::deadlock())
-}
-
-/// Like [`verify_bounded`], but answers an arbitrary [`Property`] instead
-/// of the fixed deadlock question. For the default property this *is*
-/// [`verify_bounded`]; otherwise the explored graph is scanned for the
-/// property's goal markings (φ under `EF`, ¬φ under `AG`) and the
-/// `has_deadlock`/witness fields of the embedded report are re-aimed at
-/// them: the smallest goal marking (by [`Marking`]'s order, for
-/// determinism across thread counts) becomes the witness.
-///
-/// The three-valued verdict carries over: a goal state found in a
-/// partial graph is a real witness, while the *absence* of goal states
-/// is only conclusive when the exploration completed.
-///
-/// # Errors
-///
-/// Returns [`NetError::Property`] when the property names a node `net`
-/// does not have, plus everything [`verify_bounded`] can return.
-pub fn verify_bounded_property(
-    net: &PetriNet,
-    opts: &ExploreOptions,
-    budget: &Budget,
-    property: &Property,
-) -> Result<BoundedReport, NetError> {
-    let compiled = property.compile(net).map_err(NetError::Property)?;
-    let start = Instant::now();
-    let outcome = ReachabilityGraph::explore_bounded(net, opts, budget)?;
-    let rg = outcome.value();
-    let mut report = derive_report(net, rg, start.elapsed());
-    if !property.is_default() {
-        let mut goals: Vec<StateId> = rg
-            .states()
-            .filter(|&s| compiled.goal(net, rg.marking(s)))
-            .collect();
-        goals.sort_by(|&a, &b| rg.marking(a).cmp(rg.marking(b)));
-        report.has_deadlock = !goals.is_empty();
-        report.deadlock_count = goals.len();
-        report.deadlock_witness = goals.first().and_then(|&g| rg.path_to(g));
-        report.deadlock_marking = goals.first().map(|&g| rg.marking(g).clone());
-    }
-    let exhausted = outcome.reason();
-    let coverage = outcome.coverage().cloned();
-    let frontier = coverage.as_ref().map_or(0, |c| c.frontier_len);
-    let verdict = Verdict::from_observation(report.has_deadlock, exhausted.is_none(), frontier);
-    Ok(BoundedReport {
-        report,
-        verdict,
-        exhausted,
-        coverage,
-        reduction: None,
-        property: property.clone(),
-    })
-}
-
-/// Like [`verify_bounded`], preceded by a structural reduction pre-pass:
-/// the exploration runs on the reduced net, and every reported fact —
-/// witness trace, dead marking, dead transitions — is lifted back to
-/// `net`'s ids before being returned. `state_count` and coverage describe
-/// the *reduced* exploration (that reduction is the point).
-///
-/// The three-valued verdict transfers exactly: the reduction rules
-/// preserve deadlock existence in both directions (see DESIGN.md), so a
-/// deadlock found on the reduced net lifts to a replayable original
-/// counterexample, and completing the reduced space proves the original
-/// deadlock-free. An `Inconclusive` partial verdict stays inconclusive.
-///
-/// # Errors
-///
-/// Returns [`NetError::NotSafe`] on safeness violations,
-/// [`NetError::WorkerPanicked`] if a parallel worker died, or
-/// [`NetError::Reduction`] if a reduced-net witness fails to lift (a bug
-/// guard; lifting cannot fail on safe nets).
-pub fn verify_bounded_reduced(
-    net: &PetriNet,
-    opts: &ExploreOptions,
-    budget: &Budget,
-    reduce_opts: &ReduceOptions,
-) -> Result<BoundedReport, NetError> {
-    let reduction = reduce(net, reduce_opts)?;
-    let mut bounded = verify_bounded(&reduction.net, opts, budget)?;
-    if let Some(trace) = bounded.report.deadlock_witness.take() {
-        let lifted = reduction.map.lift_trace(&trace)?.ok_or_else(|| {
-            NetError::Reduction("reduced-net deadlock witness does not lift".into())
-        })?;
-        let marking = net
-            .fire_sequence(net.initial_marking(), lifted.iter().copied())?
-            .ok_or_else(|| {
-                NetError::Reduction("lifted deadlock witness does not fire on the original".into())
-            })?;
-        bounded.report.deadlock_marking = Some(marking);
-        bounded.report.deadlock_witness = Some(lifted);
-    } else if let Some(m) = bounded.report.deadlock_marking.take() {
-        bounded.report.deadlock_marking = Some(reduction.map.lift_marking(&m));
-    }
-    bounded.report.dead_transitions = reduction
-        .map
-        .lift_dead_transitions(&bounded.report.dead_transitions);
-    bounded.reduction = Some(reduction.report);
-    Ok(bounded)
 }
 
 /// Derives deadlock and liveness facts from an explored graph.

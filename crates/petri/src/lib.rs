@@ -64,10 +64,7 @@ mod reachability;
 pub mod reduce;
 mod siphons;
 
-pub use analysis::{
-    verify, verify_bounded, verify_bounded_property, verify_bounded_reduced, verify_with,
-    BoundedReport, VerificationReport,
-};
+pub use analysis::{verify, verify_with, VerificationReport};
 pub use bitset::{BitSet, Iter as BitSetIter};
 pub use budget::{Budget, CoverageStats, ExhaustionReason, Outcome, Verdict};
 pub use checkpoint::{

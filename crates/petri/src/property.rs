@@ -479,10 +479,23 @@ enum Tok {
     Not,
 }
 
+/// Deepest `(`/`not` nesting the parser accepts: it recurses once per
+/// level, so hostile input must not pick the depth.
+const MAX_NESTING: usize = 64;
+
+/// Most `and`/`or` operators one formula may hold. Every pass over a
+/// formula (rendering, compiling, evaluating, dropping) recurses once per
+/// tree level, and a chain of `n` operators is `n` levels deep.
+const MAX_OPERATORS: usize = 1024;
+
 struct Parser {
     toks: Vec<(usize, Tok)>,
     pos: usize,
     len: usize,
+    /// Open `(`/`not` levels around the current position.
+    nesting: usize,
+    /// `and`/`or` operators parsed so far.
+    operators: usize,
 }
 
 impl Parser {
@@ -560,6 +573,8 @@ impl Parser {
             toks,
             pos: 0,
             len: bytes.len(),
+            nesting: 0,
+            operators: 0,
         }
     }
 
@@ -611,10 +626,23 @@ impl Parser {
         })
     }
 
+    /// Consumes one `and`/`or` operator, rejecting one too many.
+    fn operator(&mut self) -> Result<(), String> {
+        if self.operators == MAX_OPERATORS {
+            return Err(format!(
+                "formula has more than {MAX_OPERATORS} `and`/`or` operators at column {}",
+                self.col()
+            ));
+        }
+        self.operators += 1;
+        self.bump();
+        Ok(())
+    }
+
     fn disjunction(&mut self) -> Result<Formula, String> {
         let mut left = self.conjunction()?;
         while self.peek() == Some(&Tok::Or) {
-            self.bump();
+            self.operator()?;
             let right = self.conjunction()?;
             left = Formula::Or(Box::new(left), Box::new(right));
         }
@@ -624,7 +652,7 @@ impl Parser {
     fn conjunction(&mut self) -> Result<Formula, String> {
         let mut left = self.unary()?;
         while self.peek() == Some(&Tok::And) {
-            self.bump();
+            self.operator()?;
             let right = self.unary()?;
             left = Formula::And(Box::new(left), Box::new(right));
         }
@@ -632,19 +660,28 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Formula, String> {
-        match self.peek() {
-            Some(Tok::Not) => {
-                self.bump();
-                Ok(Formula::Not(Box::new(self.unary()?)))
-            }
-            Some(Tok::LParen) => {
-                self.bump();
-                let inner = self.disjunction()?;
-                self.expect(&Tok::RParen, "`)`")?;
-                Ok(inner)
-            }
-            _ => self.atom(),
+        let not = match self.peek() {
+            Some(Tok::Not) => true,
+            Some(Tok::LParen) => false,
+            _ => return self.atom(),
+        };
+        if self.nesting == MAX_NESTING {
+            return Err(format!(
+                "formula nests deeper than {MAX_NESTING} levels at column {}",
+                self.col()
+            ));
         }
+        self.bump();
+        self.nesting += 1;
+        let inner = if not {
+            Formula::Not(Box::new(self.unary()?))
+        } else {
+            let inner = self.disjunction()?;
+            self.expect(&Tok::RParen, "`)`")?;
+            inner
+        };
+        self.nesting -= 1;
+        Ok(inner)
     }
 
     fn atom(&mut self) -> Result<Formula, String> {
@@ -765,6 +802,24 @@ mod tests {
             let err = Property::parse(text).unwrap_err();
             assert!(err.contains(needle), "`{text}` -> `{err}`");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_rejected_with_a_column() {
+        let parens = format!("EF {}deadlock{}", "(".repeat(200_000), ")".repeat(200_000));
+        let nots = format!("EF {}deadlock", "!".repeat(200_000));
+        let chain = format!("EF {}", vec!["deadlock"; 200_000].join(" and "));
+        for text in [&parens, &nots, &chain] {
+            let err = Property::parse(text).unwrap_err();
+            assert!(err.contains("column"), "{err}");
+        }
+        // the caps themselves still parse
+        let deep = format!("EF {}deadlock{}", "(".repeat(64), ")".repeat(64));
+        assert!(Property::parse(&deep).unwrap().is_default());
+        assert!(Property::parse(&format!("EF {}deadlock", "!".repeat(64))).is_ok());
+        assert!(Property::parse(&format!("EF {}", vec!["deadlock"; 1025].join(" or "))).is_ok());
+        let err = Property::parse(&format!("EF {}deadlock", "not ".repeat(65))).unwrap_err();
+        assert!(err.contains("column 260"), "{err}");
     }
 
     #[test]

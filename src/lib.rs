@@ -52,9 +52,9 @@ pub mod prelude {
     pub use models;
     pub use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
     pub use petri::{
-        parse_net, reduce, to_text, verify, verify_bounded, verify_bounded_reduced, Budget,
-        CoverageStats, ExhaustionReason, Marking, NetBuilder, Outcome, PetriNet, PlaceId,
-        ReachabilityGraph, ReduceOptions, Reduction, ReductionReport, TransitionId, Verdict,
+        parse_net, reduce, to_text, verify, Budget, CoverageStats, ExhaustionReason, Marking,
+        NetBuilder, Outcome, PetriNet, PlaceId, ReachabilityGraph, ReduceOptions, Reduction,
+        ReductionReport, TransitionId, Verdict,
     };
     pub use symbolic::{SymbolicOptions, SymbolicReachability};
     pub use timed::{ClassGraph, Interval, TimedNet};

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use gpo_suite::prelude::*;
 use julie::engine::{run_engine, RunSpec};
-use julie::portfolio::{run_portfolio, PortfolioOptions, RACEABLE};
+use julie::portfolio::{raceable, run_portfolio, PortfolioOptions};
 use petri::{CheckpointConfig, Property};
 
 fn spec(engine: &str, property: &Property) -> RunSpec {
@@ -86,7 +86,7 @@ fn auto_matches_every_solo_sound_verdict() {
             net.name(),
             outcome.legs
         );
-        for engine in RACEABLE {
+        for engine in raceable() {
             let solo = run_engine(&net, None, "", &spec(engine, &prop), &budget, &ckpt, None)
                 .unwrap_or_else(|e| panic!("{} / {prop}: solo {engine} failed: {e}", net.name()));
             assert!(solo.verdict.is_sound());
@@ -113,7 +113,7 @@ fn injected_panic_never_changes_the_verdict() {
     let reference = run_engine(&net, None, "", &spec("full", &prop), &budget, &ckpt, None)
         .unwrap()
         .verdict;
-    for victim in RACEABLE {
+    for victim in raceable() {
         let opts = PortfolioOptions {
             inject_panic: Some(victim.to_string()),
             ..fast_opts()
@@ -144,6 +144,51 @@ fn injected_panic_never_changes_the_verdict() {
         // winner may beat it — but a third attempt never happens
         assert!((1..=2).contains(&row.attempts), "retry is bounded: {row:?}");
     }
+}
+
+/// For a non-default property the gpo engine runs po's stubborn-set
+/// search, so a schedule holding both never launches gpo: its row says
+/// why, and the verdict is po's. Without po in the schedule gpo races,
+/// and under the default property both race.
+#[test]
+fn gpo_is_not_raced_against_its_own_search() {
+    let net = models::nsdp(3);
+    let budget = Budget::default();
+    let ckpt = CheckpointConfig::default();
+    let race = |prop: &Property, opts: &PortfolioOptions| {
+        let outcome = run_portfolio(
+            &net,
+            None,
+            "",
+            &spec("auto", prop),
+            &budget,
+            &ckpt,
+            None,
+            opts,
+        )
+        .unwrap_or_else(|e| panic!("{prop}: portfolio failed: {e}"));
+        let solo = run_engine(&net, None, "", &spec("po", prop), &budget, &ckpt, None).unwrap();
+        assert_eq!(outcome.report.verdict, solo.verdict, "{prop}");
+        outcome
+            .legs
+            .into_iter()
+            .find(|l| l.engine == "gpo")
+            .expect("gpo has a table row")
+    };
+    let property = Property::parse("AG !deadlock").unwrap();
+    let row = race(&property, &fast_opts());
+    assert_eq!(row.outcome, "not-launched", "{row:?}");
+    assert!(row.why.contains("same search as leg `po`"), "{row:?}");
+    assert_eq!(row.attempts, 0, "{row:?}");
+
+    let without_po = PortfolioOptions {
+        stages: vec![vec!["gpo".into()], vec!["full".into()]],
+        ..fast_opts()
+    };
+    let row = race(&property, &without_po);
+    assert!(row.attempts >= 1, "{row:?}");
+    let row = race(&Property::deadlock(), &fast_opts());
+    assert!(row.attempts >= 1, "{row:?}");
 }
 
 /// A fabricated disagreement (one leg's sound verdict flipped) must fail

@@ -184,42 +184,6 @@ fn reduction_strictly_shrinks_stored_states_on_reducible_zoo_nets() {
     }
 }
 
-#[test]
-fn verify_bounded_reduced_matches_verify_bounded_on_the_zoo() {
-    for (name, net) in model_zoo() {
-        let budget = Budget::default().cap_states(usize::MAX);
-        let opts = ExploreOptions {
-            max_states: usize::MAX,
-            record_edges: true,
-            threads: 1,
-        };
-        let plain = verify_bounded(&net, &opts, &budget).unwrap();
-        let reduced =
-            verify_bounded_reduced(&net, &opts, &budget, &ReduceOptions::default()).unwrap();
-        assert_eq!(
-            plain.report.has_deadlock, reduced.report.has_deadlock,
-            "{name}: verdict changed"
-        );
-        assert!(plain.reduction.is_none(), "{name}: unreduced run has stats");
-        let stats = reduced.reduction.as_ref().expect("reduction stats");
-        assert_eq!(stats.places_before, net.place_count(), "{name}");
-        if let Some(w) = &reduced.report.deadlock_witness {
-            // the lifted witness replays on the ORIGINAL net into the
-            // reported dead marking
-            let reached = net
-                .fire_sequence(net.initial_marking(), w.iter().copied())
-                .expect("safe")
-                .unwrap_or_else(|| panic!("{name}: lifted witness not fireable"));
-            assert!(net.is_dead(&reached), "{name}: witness marking not dead");
-            assert_eq!(
-                Some(&reached),
-                reduced.report.deadlock_marking.as_ref(),
-                "{name}: reported marking mismatches its witness"
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
