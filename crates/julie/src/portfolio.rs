@@ -341,19 +341,20 @@ pub fn run_portfolio(
         }
         None => None,
     };
-    // a leg that answers this property with another scheduled leg's search
-    // would only race that search against itself (the resumed leg still
+    // a leg that answers this property with the search of a leg scheduled
+    // no later than itself would only race that search against itself (a
+    // later-stage leg does not stand in for it, and the resumed leg still
     // runs: it carries the snapshot's progress)
+    let stage_of = |name: &str| opts.stages.iter().position(|s| s.iter().any(|n| n == name));
     let skip = |name: &str| -> Option<String> {
         if spec.property.is_default() || resumed_engine.as_deref() == Some(name) {
             return None;
         }
-        match engine(name).ok()?.property {
-            PropertySupport::Via { engine: via, .. } if names.iter().any(|n| n == via) => Some(
-                format!("runs the same search as leg `{via}` for this property"),
-            ),
-            _ => None,
-        }
+        let PropertySupport::Via { engine: via, .. } = engine(name).ok()?.property else {
+            return None;
+        };
+        (stage_of(via)? <= stage_of(name)?)
+            .then(|| format!("runs the same search as leg `{via}` for this property"))
     };
     let ckpt_leg = if ckpt.is_disabled() {
         None

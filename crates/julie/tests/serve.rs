@@ -300,6 +300,41 @@ fn deeply_nested_property_is_rejected_and_serving_continues() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The deepest property the parser accepts and a flat 20,000-operand
+/// chain run on the server's worker threads (and, for `auto`, on the
+/// portfolio's leg threads) to the verdict of a solo `julie check`.
+#[test]
+fn properties_at_the_nesting_cap_run_on_server_workers() {
+    let dir = temp_dir("capprop");
+    let net = models::nsdp(2);
+    let net_path = write_net(&dir, "nsdp2.net", &net);
+    let server = Server::start(&dir, &[]);
+    let deep = format!(
+        "EF {}not deadlock{}",
+        "fireable(release0) or m(eat1) = 1 and (".repeat(63),
+        ")".repeat(63)
+    );
+    let chain = format!("AG {}", vec!["m(fork0) <= 1"; 20_000].join(" and "));
+    for (label, property) in [("deep", &deep), ("chain", &chain)] {
+        let prop_path = dir.join(format!("{label}.prop"));
+        std::fs::write(&prop_path, property).unwrap();
+        let prop_arg = format!("--property-file={}", prop_path.display());
+        let solo = solo_report(&net_path, &["--engine=full", &prop_arg]);
+        let verdict = field_str(&solo, "verdict");
+        assert_eq!(verdict.as_deref(), Some("holds"), "{label} solo");
+        for engine in ["full", "po", "gpo", "bdd", "unfold", "pdr", "auto"] {
+            let fields = format!(",\"engine\":\"{engine}\",\"property\":\"{property}\"");
+            let id = submit(server.port, &petri::to_text(&net), &fields);
+            let doc = poll_until(server.port, &id, Duration::from_secs(60), |d| {
+                state_of(d) == "done"
+            });
+            let served = field_str(&report_of(&doc), "verdict");
+            assert_eq!(served, verdict, "{label} on {engine}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A request head that never ends its line is cut off at the head bound:
 /// the client gets a 400 while it still holds the socket open, instead of
 /// the server buffering without limit.

@@ -191,16 +191,16 @@ fn formula_gf(net: &PetriNet, f: &CompiledFormula, positive: bool) -> Gf {
             }
         }
         CompiledFormula::Not(x) => formula_gf(net, x, !positive),
-        CompiledFormula::And(a, b) => {
-            let parts = vec![formula_gf(net, a, positive), formula_gf(net, b, positive)];
+        CompiledFormula::And(xs) => {
+            let parts = xs.iter().map(|x| formula_gf(net, x, positive)).collect();
             if positive {
                 gf_and(parts)
             } else {
                 gf_or(parts)
             }
         }
-        CompiledFormula::Or(a, b) => {
-            let parts = vec![formula_gf(net, a, positive), formula_gf(net, b, positive)];
+        CompiledFormula::Or(xs) => {
+            let parts = xs.iter().map(|x| formula_gf(net, x, positive)).collect();
             if positive {
                 gf_or(parts)
             } else {

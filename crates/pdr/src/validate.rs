@@ -202,22 +202,16 @@ fn nf_of_formula(net: &PetriNet, f: &CompiledFormula, positive: bool) -> Nf {
             }
         }
         CompiledFormula::Not(x) => nf_of_formula(net, x, !positive),
-        CompiledFormula::And(a, b) => {
-            let parts = vec![
-                nf_of_formula(net, a, positive),
-                nf_of_formula(net, b, positive),
-            ];
+        CompiledFormula::And(xs) => {
+            let parts = xs.iter().map(|x| nf_of_formula(net, x, positive)).collect();
             if positive {
                 nf_and(parts)
             } else {
                 nf_or(parts)
             }
         }
-        CompiledFormula::Or(a, b) => {
-            let parts = vec![
-                nf_of_formula(net, a, positive),
-                nf_of_formula(net, b, positive),
-            ];
+        CompiledFormula::Or(xs) => {
+            let parts = xs.iter().map(|x| nf_of_formula(net, x, positive)).collect();
             if positive {
                 nf_or(parts)
             } else {

@@ -111,10 +111,11 @@ pub enum Formula {
     Atom(Atom),
     /// Negation.
     Not(Box<Formula>),
-    /// Conjunction.
-    And(Box<Formula>, Box<Formula>),
-    /// Disjunction.
-    Or(Box<Formula>, Box<Formula>),
+    /// Conjunction of two or more operands: a flat `a and b and c` chain is
+    /// one node, so a formula is only as deep as its `(`/`not` nesting.
+    And(Vec<Formula>),
+    /// Disjunction of two or more operands, flat like [`Formula::And`].
+    Or(Vec<Formula>),
 }
 
 impl Formula {
@@ -125,10 +126,7 @@ impl Formula {
             match f {
                 Formula::Atom(a) => out.push(a),
                 Formula::Not(x) => stack.push(x),
-                Formula::And(a, b) | Formula::Or(a, b) => {
-                    stack.push(b);
-                    stack.push(a);
-                }
+                Formula::And(xs) | Formula::Or(xs) => stack.extend(xs.iter().rev()),
             }
         }
         out
@@ -165,15 +163,16 @@ impl Formula {
                 out.push_str("not ");
                 x.render(out, 3);
             }
-            Formula::And(a, b) => {
-                a.render(out, 2);
-                out.push_str(" and ");
-                b.render(out, 3);
-            }
-            Formula::Or(a, b) => {
-                a.render(out, 1);
-                out.push_str(" or ");
-                b.render(out, 2);
+            Formula::And(xs) | Formula::Or(xs) => {
+                // the spelling of a left-associated chain: only a later
+                // operand of the same operator needs parentheses
+                let op = if prec == 2 { " and " } else { " or " };
+                for (i, x) in xs.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(op);
+                    }
+                    x.render(out, if i == 0 { prec } else { prec + 1 });
+                }
             }
         }
         if parens {
@@ -267,11 +266,11 @@ impl Property {
                     })
                 }
                 Formula::Not(x) => CompiledFormula::Not(Box::new(go(x, net)?)),
-                Formula::And(a, b) => {
-                    CompiledFormula::And(Box::new(go(a, net)?), Box::new(go(b, net)?))
+                Formula::And(xs) => {
+                    CompiledFormula::And(xs.iter().map(|x| go(x, net)).collect::<Result<_, _>>()?)
                 }
-                Formula::Or(a, b) => {
-                    CompiledFormula::Or(Box::new(go(a, net)?), Box::new(go(b, net)?))
+                Formula::Or(xs) => {
+                    CompiledFormula::Or(xs.iter().map(|x| go(x, net)).collect::<Result<_, _>>()?)
                 }
             })
         }
@@ -353,10 +352,10 @@ pub enum CompiledFormula {
     Atom(CompiledAtom),
     /// Negation.
     Not(Box<CompiledFormula>),
-    /// Conjunction.
-    And(Box<CompiledFormula>, Box<CompiledFormula>),
-    /// Disjunction.
-    Or(Box<CompiledFormula>, Box<CompiledFormula>),
+    /// Conjunction of two or more operands.
+    And(Vec<CompiledFormula>),
+    /// Disjunction of two or more operands.
+    Or(Vec<CompiledFormula>),
 }
 
 impl CompiledFormula {
@@ -369,8 +368,8 @@ impl CompiledFormula {
                 op.eval(u64::from(m.is_marked(*place)), *k)
             }
             CompiledFormula::Not(x) => !x.eval(net, m),
-            CompiledFormula::And(a, b) => a.eval(net, m) && b.eval(net, m),
-            CompiledFormula::Or(a, b) => a.eval(net, m) || b.eval(net, m),
+            CompiledFormula::And(xs) => xs.iter().all(|x| x.eval(net, m)),
+            CompiledFormula::Or(xs) => xs.iter().any(|x| x.eval(net, m)),
         }
     }
 
@@ -381,10 +380,7 @@ impl CompiledFormula {
             match f {
                 CompiledFormula::Atom(a) => out.push(a),
                 CompiledFormula::Not(x) => stack.push(x),
-                CompiledFormula::And(a, b) | CompiledFormula::Or(a, b) => {
-                    stack.push(b);
-                    stack.push(a);
-                }
+                CompiledFormula::And(xs) | CompiledFormula::Or(xs) => stack.extend(xs.iter().rev()),
             }
         }
         out
@@ -479,14 +475,12 @@ enum Tok {
     Not,
 }
 
-/// Deepest `(`/`not` nesting the parser accepts: it recurses once per
-/// level, so hostile input must not pick the depth.
+/// Deepest `(`/`not` nesting the parser accepts. The parser and every
+/// pass over a formula (rendering, compiling, evaluating, dropping, the
+/// engines' encodings) recurse once per tree level, so hostile input must
+/// not pick the depth. `and`/`or` chains are flat nodes of any length, so
+/// this cap alone bounds the depth.
 const MAX_NESTING: usize = 64;
-
-/// Most `and`/`or` operators one formula may hold. Every pass over a
-/// formula (rendering, compiling, evaluating, dropping) recurses once per
-/// tree level, and a chain of `n` operators is `n` levels deep.
-const MAX_OPERATORS: usize = 1024;
 
 struct Parser {
     toks: Vec<(usize, Tok)>,
@@ -494,8 +488,6 @@ struct Parser {
     len: usize,
     /// Open `(`/`not` levels around the current position.
     nesting: usize,
-    /// `and`/`or` operators parsed so far.
-    operators: usize,
 }
 
 impl Parser {
@@ -574,7 +566,6 @@ impl Parser {
             pos: 0,
             len: bytes.len(),
             nesting: 0,
-            operators: 0,
         }
     }
 
@@ -626,37 +617,39 @@ impl Parser {
         })
     }
 
-    /// Consumes one `and`/`or` operator, rejecting one too many.
-    fn operator(&mut self) -> Result<(), String> {
-        if self.operators == MAX_OPERATORS {
-            return Err(format!(
-                "formula has more than {MAX_OPERATORS} `and`/`or` operators at column {}",
-                self.col()
-            ));
-        }
-        self.operators += 1;
-        self.bump();
-        Ok(())
-    }
-
+    // A chain whose first operand is a parenthesized chain of the same
+    // operator extends it, as left association would: `(a or b) or c` and
+    // `a or b or c` are one formula and render alike.
     fn disjunction(&mut self) -> Result<Formula, String> {
-        let mut left = self.conjunction()?;
-        while self.peek() == Some(&Tok::Or) {
-            self.operator()?;
-            let right = self.conjunction()?;
-            left = Formula::Or(Box::new(left), Box::new(right));
+        let first = self.conjunction()?;
+        if self.peek() != Some(&Tok::Or) {
+            return Ok(first);
         }
-        Ok(left)
+        let mut operands = match first {
+            Formula::Or(xs) => xs,
+            x => vec![x],
+        };
+        while self.peek() == Some(&Tok::Or) {
+            self.bump();
+            operands.push(self.conjunction()?);
+        }
+        Ok(Formula::Or(operands))
     }
 
     fn conjunction(&mut self) -> Result<Formula, String> {
-        let mut left = self.unary()?;
-        while self.peek() == Some(&Tok::And) {
-            self.operator()?;
-            let right = self.unary()?;
-            left = Formula::And(Box::new(left), Box::new(right));
+        let first = self.unary()?;
+        if self.peek() != Some(&Tok::And) {
+            return Ok(first);
         }
-        Ok(left)
+        let mut operands = match first {
+            Formula::And(xs) => xs,
+            x => vec![x],
+        };
+        while self.peek() == Some(&Tok::And) {
+            self.bump();
+            operands.push(self.unary()?);
+        }
+        Ok(Formula::And(operands))
     }
 
     fn unary(&mut self) -> Result<Formula, String> {
@@ -808,18 +801,78 @@ mod tests {
     fn hostile_nesting_is_rejected_with_a_column() {
         let parens = format!("EF {}deadlock{}", "(".repeat(200_000), ")".repeat(200_000));
         let nots = format!("EF {}deadlock", "!".repeat(200_000));
-        let chain = format!("EF {}", vec!["deadlock"; 200_000].join(" and "));
-        for text in [&parens, &nots, &chain] {
+        for text in [&parens, &nots] {
             let err = Property::parse(text).unwrap_err();
             assert!(err.contains("column"), "{err}");
         }
-        // the caps themselves still parse
+        // the cap itself still parses
         let deep = format!("EF {}deadlock{}", "(".repeat(64), ")".repeat(64));
         assert!(Property::parse(&deep).unwrap().is_default());
         assert!(Property::parse(&format!("EF {}deadlock", "!".repeat(64))).is_ok());
-        assert!(Property::parse(&format!("EF {}", vec!["deadlock"; 1025].join(" or "))).is_ok());
         let err = Property::parse(&format!("EF {}deadlock", "not ".repeat(65))).unwrap_err();
         assert!(err.contains("column 260"), "{err}");
+    }
+
+    /// Stack given to the passes below: a quarter of the 2 MiB default of
+    /// spawned threads, which serve workers and portfolio legs run on.
+    const WORKER_STACK: usize = 512 * 1024;
+
+    #[test]
+    fn formulas_at_the_nesting_cap_run_on_a_worker_stack() {
+        let net = diamond();
+        // a flat chain is one node however long; the deepest formula the
+        // parser accepts nests an `or` over an `and` in each of 64 `(`
+        let chain = format!("EF {}", vec!["m(p) >= 1"; 200_000].join(" and "));
+        let deep = format!(
+            "EF {}not deadlock{}",
+            "fireable(t2) or m(r) = 1 and (".repeat(63),
+            ")".repeat(63)
+        );
+        let run = move || {
+            for (text, holds) in [(chain, true), (deep, false)] {
+                let p = Property::parse(&text).unwrap();
+                assert_eq!(Property::parse(&p.to_string()).unwrap(), p);
+                let c = p.compile(&net).unwrap();
+                assert_eq!(c.eval(&net, net.initial_marking()), holds, "{p}");
+                assert!(c.visible_transitions(&net).is_some());
+                drop((p, c));
+            }
+        };
+        std::thread::Builder::new()
+            .stack_size(WORKER_STACK)
+            .spawn(run)
+            .unwrap()
+            .join()
+            .expect("passes over a formula at the cap fit the stack");
+    }
+
+    #[test]
+    fn chains_are_flat_and_render_left_associated() {
+        let m = |p: &str| {
+            Formula::Atom(Atom::Count {
+                place: p.into(),
+                op: CountOp::Ge,
+                k: 1,
+            })
+        };
+        let flat = Formula::And(vec![m("a"), m("b"), m("c")]);
+        for text in [
+            "EF m(a) >= 1 and m(b) >= 1 and m(c) >= 1",
+            "EF (m(a) >= 1 and m(b) >= 1) and m(c) >= 1",
+        ] {
+            let p = Property::parse(text).unwrap();
+            assert_eq!(p.formula, flat, "{text}");
+            assert_eq!(p.to_string(), "EF m(a) >= 1 and m(b) >= 1 and m(c) >= 1");
+        }
+        let right = Property::parse("EF m(a) >= 1 or (m(b) >= 1 or m(c) >= 1)").unwrap();
+        assert_eq!(
+            right.formula,
+            Formula::Or(vec![m("a"), Formula::Or(vec![m("b"), m("c")])])
+        );
+        assert_eq!(
+            right.to_string(),
+            "EF m(a) >= 1 or (m(b) >= 1 or m(c) >= 1)"
+        );
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! * [`Bdd`] — a reduced ordered BDD manager (Bryant [2]): hash-consed
 //!   nodes, memoized ITE, quantification, relational product, renaming,
 //!   model counting;
-//! * [`ConcurrentZdd`] — a zero-suppressed DD manager (set families) with
-//!   union / intersection / difference / onset / offset / join, used as the
-//!   shared representation behind large valid-set relations; `Send + Sync`
-//!   with sharded locks, so the worker threads of a parallel exploration
-//!   share one manager;
+//! * [`Zdd`] — a zero-suppressed DD manager (set families) with union /
+//!   intersection / difference / onset / offset / join, used as the shared
+//!   representation behind large valid-set relations;
+//! * [`ConcurrentZdd`] — the `Send + Sync` sharded-lock sibling of [`Zdd`]
+//!   (same canonical structure, `&self` operations), shareable across the
+//!   worker threads of a parallel exploration;
 //! * [`SymbolicReachability`] — BDD-based breadth-first reachability and
 //!   deadlock detection with peak-node tracking, in either an interleaved
 //!   or a deliberately bad variable order (for the ablation bench).
@@ -33,7 +34,9 @@
 mod bdd;
 mod czdd;
 mod reach;
+mod zdd;
 
 pub use bdd::{Bdd, BddRef, BDD_FALSE, BDD_TRUE};
-pub use czdd::{ConcurrentZdd, ZddRef, ZDD_EMPTY, ZDD_UNIT};
+pub use czdd::ConcurrentZdd;
 pub use reach::{SymbolicOptions, SymbolicReachability, VariableOrder};
+pub use zdd::{Zdd, ZddRef, ZDD_EMPTY, ZDD_UNIT};

@@ -230,15 +230,19 @@ impl Encoding {
                 let g = self.formula_bdd(net, x);
                 self.bdd.not(g)
             }
-            CompiledFormula::And(a, b) => {
-                let fa = self.formula_bdd(net, a);
-                let fb = self.formula_bdd(net, b);
-                self.bdd.and(fa, fb)
+            CompiledFormula::And(xs) => {
+                let first = self.formula_bdd(net, &xs[0]);
+                xs[1..].iter().fold(first, |acc, x| {
+                    let fx = self.formula_bdd(net, x);
+                    self.bdd.and(acc, fx)
+                })
             }
-            CompiledFormula::Or(a, b) => {
-                let fa = self.formula_bdd(net, a);
-                let fb = self.formula_bdd(net, b);
-                self.bdd.or(fa, fb)
+            CompiledFormula::Or(xs) => {
+                let first = self.formula_bdd(net, &xs[0]);
+                xs[1..].iter().fold(first, |acc, x| {
+                    let fx = self.formula_bdd(net, x);
+                    self.bdd.or(acc, fx)
+                })
             }
         }
     }

@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use symbolic::{Bdd, BddRef, ConcurrentZdd, ZddRef, BDD_FALSE, BDD_TRUE, ZDD_EMPTY};
+use symbolic::{Bdd, BddRef, Zdd, ZddRef, BDD_FALSE, BDD_TRUE, ZDD_EMPTY};
 
 const NVARS: usize = 5;
 
@@ -139,7 +139,7 @@ fn family_strategy() -> impl Strategy<Value = Fam> {
     )
 }
 
-fn to_zdd(f: &Fam, z: &ConcurrentZdd) -> ZddRef {
+fn to_zdd(f: &Fam, z: &mut Zdd) -> ZddRef {
     let mut acc = ZDD_EMPTY;
     for s in f {
         let one = z.singleton(s);
@@ -148,7 +148,7 @@ fn to_zdd(f: &Fam, z: &ConcurrentZdd) -> ZddRef {
     acc
 }
 
-fn from_zdd(z: &ConcurrentZdd, f: ZddRef) -> Fam {
+fn from_zdd(z: &Zdd, f: ZddRef) -> Fam {
     z.sets(f).into_iter().collect()
 }
 
@@ -158,9 +158,9 @@ proptest! {
     /// ZDD set algebra equals BTreeSet algebra.
     #[test]
     fn zdd_algebra_matches_brute_force(a in family_strategy(), b in family_strategy()) {
-        let z = ConcurrentZdd::new(6);
-        let fa = to_zdd(&a, &z);
-        let fb = to_zdd(&b, &z);
+        let mut z = Zdd::new(6);
+        let fa = to_zdd(&a, &mut z);
+        let fb = to_zdd(&b, &mut z);
         let union = z.union(fa, fb);
         prop_assert_eq!(from_zdd(&z, union), a.union(&b).cloned().collect::<Fam>());
         let inter = z.intersect(fa, fb);
@@ -170,11 +170,33 @@ proptest! {
         prop_assert_eq!(z.count(fa), a.len() as u128);
     }
 
+    /// The concurrent manager computes the same algebra (and the same
+    /// materialized sets) as the serial manager on random families.
+    #[test]
+    fn concurrent_zdd_matches_serial(a in family_strategy(), b in family_strategy()) {
+        let mut z = Zdd::new(6);
+        let c = symbolic::ConcurrentZdd::new(6);
+        let (fa, fb) = (to_zdd(&a, &mut z), to_zdd(&b, &mut z));
+        let (ca, cb) = (c.family(&a.iter().cloned().collect::<Vec<_>>()),
+                        c.family(&b.iter().cloned().collect::<Vec<_>>()));
+        let (su, si, sd, sj) = (z.union(fa, fb), z.intersect(fa, fb), z.diff(fa, fb), z.join(fa, fb));
+        prop_assert_eq!(z.sets(su), c.sets(c.union(ca, cb)));
+        prop_assert_eq!(z.sets(si), c.sets(c.intersect(ca, cb)));
+        prop_assert_eq!(z.sets(sd), c.sets(c.diff(ca, cb)));
+        prop_assert_eq!(z.sets(sj), c.sets(c.join(ca, cb)));
+        prop_assert_eq!(z.count(fa), c.count(ca));
+        for e in 0..6 {
+            let (on, off) = (z.onset(fa, e), z.offset(fa, e));
+            prop_assert_eq!(z.sets(on), c.sets(c.onset(ca, e)));
+            prop_assert_eq!(z.sets(off), c.sets(c.offset(ca, e)));
+        }
+    }
+
     /// onset/offset partition the family by element membership.
     #[test]
     fn zdd_onset_offset_partition(a in family_strategy(), e in 0usize..6) {
-        let z = ConcurrentZdd::new(6);
-        let fa = to_zdd(&a, &z);
+        let mut z = Zdd::new(6);
+        let fa = to_zdd(&a, &mut z);
         let on = z.onset(fa, e);
         let off = z.offset(fa, e);
         let expected_on: Fam = a.iter().filter(|s| s.contains(&e)).cloned().collect();
@@ -188,9 +210,9 @@ proptest! {
     /// join is the cross-union.
     #[test]
     fn zdd_join_matches_brute_force(a in family_strategy(), b in family_strategy()) {
-        let z = ConcurrentZdd::new(6);
-        let fa = to_zdd(&a, &z);
-        let fb = to_zdd(&b, &z);
+        let mut z = Zdd::new(6);
+        let fa = to_zdd(&a, &mut z);
+        let fb = to_zdd(&b, &mut z);
         let j = z.join(fa, fb);
         let mut expected = Fam::new();
         for x in &a {
@@ -207,8 +229,8 @@ proptest! {
     /// Canonicity: equal families share the node.
     #[test]
     fn zdd_canonicity(a in family_strategy()) {
-        let z = ConcurrentZdd::new(6);
-        let f1 = to_zdd(&a, &z);
+        let mut z = Zdd::new(6);
+        let f1 = to_zdd(&a, &mut z);
         // rebuild in reverse insertion order
         let rev: Vec<Vec<usize>> = a.iter().rev().cloned().collect();
         let mut f2 = ZDD_EMPTY;
@@ -222,8 +244,8 @@ proptest! {
     /// contains_set agrees with membership.
     #[test]
     fn zdd_membership(a in family_strategy(), probe in proptest::collection::btree_set(0usize..6, 0..4)) {
-        let z = ConcurrentZdd::new(6);
-        let fa = to_zdd(&a, &z);
+        let mut z = Zdd::new(6);
+        let fa = to_zdd(&a, &mut z);
         let probe: Vec<usize> = probe.into_iter().collect();
         prop_assert_eq!(z.contains_set(fa, &probe), a.contains(&probe));
     }

@@ -187,6 +187,14 @@ fn gpo_is_not_raced_against_its_own_search() {
     };
     let row = race(&property, &without_po);
     assert!(row.attempts >= 1, "{row:?}");
+    // po in a later stage does not stand in for gpo's earlier start
+    let po_later = PortfolioOptions {
+        stages: vec![vec!["gpo".into()], vec!["po".into()]],
+        ..fast_opts()
+    };
+    let row = race(&property, &po_later);
+    assert!(row.attempts >= 1, "{row:?}");
+    assert_ne!(row.outcome, "not-launched", "{row:?}");
     let row = race(&Property::deadlock(), &fast_opts());
     assert!(row.attempts >= 1, "{row:?}");
 }
