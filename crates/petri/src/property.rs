@@ -821,7 +821,8 @@ mod tests {
     fn formulas_at_the_nesting_cap_run_on_a_worker_stack() {
         let net = diamond();
         // a flat chain is one node however long; the deepest formula the
-        // parser accepts nests an `or` over an `and` in each of 64 `(`
+        // parser accepts nests an `or` over an `and` in each of 63 `(`,
+        // then a `not`: 64 levels
         let chain = format!("EF {}", vec!["m(p) >= 1"; 200_000].join(" and "));
         let deep = format!(
             "EF {}not deadlock{}",

@@ -230,20 +230,14 @@ impl Encoding {
                 let g = self.formula_bdd(net, x);
                 self.bdd.not(g)
             }
-            CompiledFormula::And(xs) => {
-                let first = self.formula_bdd(net, &xs[0]);
-                xs[1..].iter().fold(first, |acc, x| {
-                    let fx = self.formula_bdd(net, x);
-                    self.bdd.and(acc, fx)
-                })
-            }
-            CompiledFormula::Or(xs) => {
-                let first = self.formula_bdd(net, &xs[0]);
-                xs[1..].iter().fold(first, |acc, x| {
-                    let fx = self.formula_bdd(net, x);
-                    self.bdd.or(acc, fx)
-                })
-            }
+            CompiledFormula::And(xs) => xs.iter().fold(BDD_TRUE, |acc, x| {
+                let fx = self.formula_bdd(net, x);
+                self.bdd.and(acc, fx)
+            }),
+            CompiledFormula::Or(xs) => xs.iter().fold(BDD_FALSE, |acc, x| {
+                let fx = self.formula_bdd(net, x);
+                self.bdd.or(acc, fx)
+            }),
         }
     }
 
