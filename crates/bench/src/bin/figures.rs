@@ -14,7 +14,7 @@ use gpo_core::{
     analyze, m_enabled, multiple_update, s_enabled, single_update, ExplicitFamily, GpnState,
     SetFamily,
 };
-use partial_order::ReducedReachability;
+use partial_order::{ReducedOptions, ReducedReachability};
 use petri::{PetriNet, ReachabilityGraph, TransitionId};
 
 fn family_to_string(net: &PetriNet, f: &ExplicitFamily) -> String {
@@ -79,7 +79,7 @@ fn fig2() {
         } else {
             "-".to_string()
         };
-        let po = ReducedReachability::explore(&net)
+        let po = ReducedReachability::explore_with(&net, &ReducedOptions::default())
             .expect("fig2 is safe")
             .state_count();
         let gpo = analyze(&net).expect("within limits").state_count;

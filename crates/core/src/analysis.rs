@@ -51,7 +51,7 @@ pub enum Representation {
 /// differ only inside the `FAMILIES` payload).
 mod section {
     pub const META: u32 = 1;
-    pub const FAMILIES: u32 = 2;
+    pub const FAMILIES: u32 = crate::family::FAMILIES_SECTION;
     pub const EXPANDED: u32 = 3;
     pub const PRED: u32 = 4;
     pub const BLOCKED: u32 = 5;
@@ -596,11 +596,7 @@ fn from_snapshot<F: SetFamily>(
         });
     }
 
-    let families = F::decode_families(ctx, universe, snap.require_section(section::FAMILIES)?)
-        .map_err(|detail| CheckpointError::Malformed {
-            section: section::FAMILIES,
-            detail,
-        })?;
+    let families = F::decode_families(ctx, universe, snap.require_section(section::FAMILIES)?)?;
     if families.len() != n * (places + 1) {
         return Err(CheckpointError::Malformed {
             section: section::FAMILIES,

@@ -16,6 +16,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use petri::checkpoint::{ByteReader, ByteWriter, CheckpointError};
 use petri::BitSet;
 use symbolic::{ConcurrentZdd, ZddRef, ZDD_EMPTY, ZDD_UNIT};
 
@@ -124,51 +125,42 @@ pub trait SetFamily: Clone + Eq + Hash + fmt::Debug + Send + Sync {
     /// override this (the ZDD backend serializes one shared node table
     /// for the whole batch instead).
     fn encode_families(_ctx: &Self::Context, universe: usize, families: &[&Self]) -> Vec<u8> {
-        let mut out = Vec::new();
-        push_u64(&mut out, families.len() as u64);
+        let mut w = ByteWriter::new();
+        w.usize(families.len());
         for f in families {
             let sets = f.sets();
-            push_u64(&mut out, sets.len() as u64);
+            w.usize(sets.len());
             for s in &sets {
                 debug_assert_eq!(s.capacity(), universe);
-                for &b in s.as_blocks() {
-                    push_u64(&mut out, b);
-                }
+                w.bits(s);
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Rebuilds a batch of families from [`encode_families`] output, in
     /// order. Implementations must validate the bytes structurally and
-    /// report the first violation as an error string — a blob that decodes
-    /// cleanly always denotes well-formed families over `universe`.
+    /// report the first violation — a blob that decodes cleanly always
+    /// denotes well-formed families over `universe`.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural violation (truncated
-    /// input, out-of-range bits, trailing bytes, …).
+    /// Returns [`CheckpointError::Malformed`], tagged with the snapshot's
+    /// families section, describing the first structural violation
+    /// (truncated input, out-of-range bits, trailing bytes, …).
     fn decode_families(
         ctx: &Self::Context,
         universe: usize,
         bytes: &[u8],
-    ) -> Result<Vec<Self>, String> {
-        let mut r = Cursor::new(bytes);
-        let nfamilies = r.u64()? as usize;
-        let blocks_per_set = universe.div_ceil(64);
+    ) -> Result<Vec<Self>, CheckpointError> {
+        let mut r = ByteReader::new(bytes, FAMILIES_SECTION);
+        let nfamilies = r.usize()?;
         let mut out = Vec::with_capacity(nfamilies.min(1 << 20));
-        for i in 0..nfamilies {
-            let nsets = r.u64()? as usize;
+        for _ in 0..nfamilies {
+            let nsets = r.usize()?;
             let mut sets = Vec::with_capacity(nsets.min(1 << 20));
-            for j in 0..nsets {
-                let mut blocks = Vec::with_capacity(blocks_per_set);
-                for _ in 0..blocks_per_set {
-                    blocks.push(r.u64()?);
-                }
-                let set = BitSet::from_blocks(universe, blocks).ok_or_else(|| {
-                    format!("family {i} set {j}: bits outside the universe of {universe}")
-                })?;
-                sets.push(set);
+            for _ in 0..nsets {
+                sets.push(r.bits(universe)?);
             }
             out.push(Self::from_sets(ctx, universe, &sets));
         }
@@ -177,54 +169,9 @@ pub trait SetFamily: Clone + Eq + Hash + fmt::Debug + Send + Sync {
     }
 }
 
-/// Little-endian u64 append for the family encoders.
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Little-endian u32 append for the family encoders.
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Bounds-checked little-endian reader for the family decoders.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or("truncated family blob")?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn finish(self) -> Result<(), String> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err("trailing bytes after family blob".into())
-        }
-    }
-}
+/// The snapshot section a GPO exploration stores its family blob
+/// ([`SetFamily::encode_families`]) in.
+pub(crate) const FAMILIES_SECTION: u32 = 2;
 
 /// Canonical explicit family: a sorted, deduplicated `Vec<BitSet>`.
 ///
@@ -560,28 +507,28 @@ impl SetFamily for ZddFamily {
     fn encode_families(ctx: &Self::Context, _universe: usize, families: &[&Self]) -> Vec<u8> {
         let roots: Vec<ZddRef> = families.iter().map(|f| f.node).collect();
         let (table, root_ids) = ctx.export(&roots);
-        let mut out = Vec::new();
-        push_u64(&mut out, families.len() as u64);
-        push_u64(&mut out, table.len() as u64);
+        let mut w = ByteWriter::new();
+        w.usize(families.len());
+        w.usize(table.len());
         for &(var, lo, hi) in &table {
-            push_u32(&mut out, var);
-            push_u32(&mut out, lo);
-            push_u32(&mut out, hi);
+            w.u32(var);
+            w.u32(lo);
+            w.u32(hi);
         }
         for &r in &root_ids {
-            push_u32(&mut out, r);
+            w.u32(r);
         }
-        out
+        w.into_bytes()
     }
 
     fn decode_families(
         ctx: &Self::Context,
         universe: usize,
         bytes: &[u8],
-    ) -> Result<Vec<Self>, String> {
-        let mut r = Cursor::new(bytes);
-        let nfamilies = r.u64()? as usize;
-        let nnodes = r.u64()? as usize;
+    ) -> Result<Vec<Self>, CheckpointError> {
+        let mut r = ByteReader::new(bytes, FAMILIES_SECTION);
+        let nfamilies = r.usize()?;
+        let nnodes = r.usize()?;
         let mut table = Vec::with_capacity(nnodes.min(1 << 20));
         for _ in 0..nnodes {
             table.push((r.u32()?, r.u32()?, r.u32()?));
@@ -594,7 +541,12 @@ impl SetFamily for ZddFamily {
         // import re-canonicalizes every node through the shared manager's
         // hash-consing, so decoded families compare equal (by node id) to
         // families built natively in `ctx`
-        let refs = ctx.import(&table, &roots)?;
+        let refs = ctx
+            .import(&table, &roots)
+            .map_err(|detail| CheckpointError::Malformed {
+                section: FAMILIES_SECTION,
+                detail,
+            })?;
         Ok(refs
             .into_iter()
             .map(|node| ZddFamily {

@@ -28,11 +28,11 @@
 //!
 //! ```
 //! use gpo_core::analyze;
-//! use partial_order::ReducedReachability;
+//! use partial_order::{ReducedOptions, ReducedReachability};
 //!
 //! // Figure 2 of the paper with N = 8 concurrently marked conflict places
 //! let net = models::figures::fig2(8);
-//! let po = ReducedReachability::explore(&net)?;
+//! let po = ReducedReachability::explore_with(&net, &ReducedOptions::default())?;
 //! let gpo = analyze(&net)?;
 //! assert_eq!(po.state_count(), (1 << 9) - 1); // 511: reduction is powerless
 //! assert_eq!(gpo.state_count, 2);             // the generalized analysis

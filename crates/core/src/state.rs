@@ -68,7 +68,9 @@ impl<F: SetFamily> GpnState<F> {
         ctx: &F::Context,
         valid_set_limit: usize,
     ) -> Result<Self, GpoError> {
-        if conflicts.conflict_free_set_count() > valid_set_limit as u128 {
+        // one enumeration of the choice groups serves the limit check and r₀
+        let groups = conflicts.choice_groups();
+        if ConflictInfo::product_size(&groups) > valid_set_limit as u128 {
             return Err(GpoError::ValidSetsTooLarge(valid_set_limit));
         }
         let universe = net.transition_count();
@@ -76,7 +78,7 @@ impl<F: SetFamily> GpnState<F> {
         // representation enumerates the product (bounded by the limit
         // check above); the ZDD representation joins the groups directly
         // and never materializes it.
-        let valid = F::from_choice_groups(ctx, universe, &conflicts.choice_groups());
+        let valid = F::from_choice_groups(ctx, universe, &groups);
         let empty = F::empty(ctx, universe);
         let marking = net
             .places()

@@ -71,7 +71,7 @@ pub const ENGINES: &[Engine] = &[
         checkpoint: true,
         stage: Some(0),
         property: PropertySupport::Native,
-        run: run_po,
+        run: |cx| run_graph(cx, true),
     },
     // the GPN exploration only decides the default `EF deadlock` (its
     // states are whole firing families, blind to individual marking
@@ -118,7 +118,7 @@ pub const ENGINES: &[Engine] = &[
         checkpoint: true,
         stage: Some(2),
         property: PropertySupport::Native,
-        run: run_full,
+        run: |cx| run_graph(cx, false),
     },
     Engine {
         name: "classes",
@@ -347,16 +347,38 @@ pub fn run_engine(
     })
 }
 
-fn run_full(cx: &Ctx) -> Result<EngineRun, String> {
-    let opts = ExploreOptions {
-        max_states: usize::MAX,
-        record_edges: true,
-        threads: cx.spec.threads,
+/// The explicit-state search: the full graph, or with `po` the
+/// stubborn-set reduced one. For a non-default property (and for the gpo
+/// engine, which borrows the po search for such properties) every stubborn
+/// set is seeded with the property's visible transitions, and the stored
+/// markings are then scanned for goal states. Only the full graph records
+/// edges, so only its witnesses carry a trace.
+fn run_graph(cx: &Ctx, po: bool) -> Result<EngineRun, String> {
+    let (net, threads) = (cx.net, cx.spec.threads);
+    // `None` exactly for the default property, and for the full search
+    let visible = po.then(|| cx.property.visible_transitions(net)).flatten();
+    let visible_count = visible.as_ref().map(Vec::len);
+    let outcome = if po {
+        let opts = ReducedOptions {
+            strategy: SeedStrategy::BestOfEnabled,
+            max_states: usize::MAX,
+            threads,
+            visible,
+        };
+        ReducedReachability::explore_checkpointed(net, &opts, cx.budget, cx.ckpt, cx.resume)
+    } else {
+        let opts = ExploreOptions {
+            max_states: usize::MAX,
+            record_edges: true,
+            threads,
+        };
+        ReachabilityGraph::explore_checkpointed(net, &opts, cx.budget, cx.ckpt, cx.resume)
     };
-    let outcome =
-        ReachabilityGraph::explore_checkpointed(cx.net, &opts, cx.budget, cx.ckpt, cx.resume)
-            .map_err(|e| e.to_string())?;
-    let (run, rg) = EngineRun::from_outcome(outcome);
+    let (mut run, rg) = EngineRun::from_outcome(outcome.map_err(|e| e.to_string())?);
+    if let Some(n) = visible_count {
+        run.detail_lines.push(format!("visible transitions: {n}"));
+        run.details.push(("visible_transitions", n as u64));
+    }
     let goals = if cx.default {
         rg.deadlocks().to_vec()
     } else {
@@ -364,7 +386,7 @@ fn run_full(cx: &Ctx) -> Result<EngineRun, String> {
         // reported witness is deterministic across thread counts
         let mut goals: Vec<_> = rg
             .states()
-            .filter(|&s| cx.property.goal(cx.net, rg.marking(s)))
+            .filter(|&s| cx.property.goal(net, rg.marking(s)))
             .collect();
         goals.sort_by(|&a, &b| rg.marking(a).cmp(rg.marking(b)));
         goals
@@ -376,52 +398,7 @@ fn run_full(cx: &Ctx) -> Result<EngineRun, String> {
         witnesses: goals
             .iter()
             .take(cx.spec.witnesses)
-            .map(|&g| (rg.marking(g).clone(), rg.path_to(g)))
-            .collect(),
-        ..run
-    })
-}
-
-/// The stubborn-set search. For a non-default property (and for the gpo
-/// engine, which borrows this search for such properties) every stubborn
-/// set is seeded with the property's visible transitions, and the stored
-/// markings are then scanned for goal states.
-fn run_po(cx: &Ctx) -> Result<EngineRun, String> {
-    // `None` exactly for the default property
-    let visible = cx.property.visible_transitions(cx.net);
-    let visible_count = visible.as_ref().map(Vec::len);
-    let opts = ReducedOptions {
-        strategy: SeedStrategy::BestOfEnabled,
-        max_states: usize::MAX,
-        threads: cx.spec.threads,
-        visible,
-    };
-    let outcome =
-        ReducedReachability::explore_checkpointed(cx.net, &opts, cx.budget, cx.ckpt, cx.resume)
-            .map_err(|e| e.to_string())?;
-    let (mut run, red) = EngineRun::from_outcome(outcome);
-    let goals: Vec<&Marking> = match visible_count {
-        None => red.deadlock_markings().collect(),
-        Some(n) => {
-            run.detail_lines.push(format!("visible transitions: {n}"));
-            run.details.push(("visible_transitions", n as u64));
-            // smallest goal markings first, for a deterministic witness
-            let mut goals: Vec<&Marking> = red
-                .markings()
-                .filter(|m| cx.property.goal(cx.net, m))
-                .collect();
-            goals.sort();
-            goals
-        }
-    };
-    Ok(EngineRun {
-        states: red.state_count(),
-        states_line: format!("states: {}", red.state_count()),
-        goal_found: !goals.is_empty(),
-        witnesses: goals
-            .into_iter()
-            .take(cx.spec.witnesses)
-            .map(|m| (m.clone(), None))
+            .map(|&g| (rg.marking(g).clone(), if po { None } else { rg.path_to(g) }))
             .collect(),
         ..run
     })

@@ -107,9 +107,7 @@ fn reduced_engine_kill_and_resume_is_equivalent() {
                 threads,
                 visible: None,
             };
-            let reference = ReducedReachability::explore_bounded(&net, &opts, &Budget::default())
-                .unwrap()
-                .into_value();
+            let reference = ReducedReachability::explore_with(&net, &opts).unwrap();
             let path = ckpt_path(&format!("po-{tag}").replace(' ', "-"));
             let partial = ReducedReachability::explore_checkpointed(
                 &net,
@@ -133,8 +131,12 @@ fn reduced_engine_kill_and_resume_is_equivalent() {
             let resumed = resumed.into_value();
             assert_eq!(resumed.state_count(), reference.state_count(), "{tag}");
             assert_eq!(resumed.has_deadlock(), reference.has_deadlock(), "{tag}");
-            let dead = |red: &ReducedReachability| {
-                let mut ms: Vec<String> = red.deadlock_markings().map(|m| m.to_string()).collect();
+            let dead = |red: &ReachabilityGraph| {
+                let mut ms: Vec<String> = red
+                    .deadlocks()
+                    .iter()
+                    .map(|&d| red.marking(d).to_string())
+                    .collect();
                 ms.sort();
                 ms
             };

@@ -9,7 +9,10 @@
 //!   relations between transitions;
 //! * [`StubbornSets`] — the D1/D2 closure with three [`SeedStrategy`]
 //!   choices, including the paper's conflict-cluster *anticipation*;
-//! * [`ReducedReachability`] — deadlock-preserving reduced exploration.
+//! * [`ReducedReachability`] — deadlock-preserving reduced exploration:
+//!   `petri`'s `ReachabilityGraph` search under a stubborn-set expansion
+//!   rule, so a reduced run returns the same graph type, snapshots and
+//!   resumes like a full one.
 //!
 //! # What reduction does — and what it cannot do
 //!
@@ -21,7 +24,7 @@
 //! exactly what the generalized analysis in the `gpo-core` crate adds.
 //!
 //! ```
-//! use partial_order::ReducedReachability;
+//! use partial_order::{ReducedOptions, ReducedReachability};
 //! use petri::{NetBuilder, ReachabilityGraph};
 //!
 //! // Figure 2 of the paper with N = 3 conflict pairs.
@@ -35,7 +38,8 @@
 //! }
 //! let net = b.build()?;
 //! assert_eq!(ReachabilityGraph::explore(&net)?.state_count(), 27);
-//! assert_eq!(ReducedReachability::explore(&net)?.state_count(), 15); // 2^4 - 1
+//! let red = ReducedReachability::explore_with(&net, &ReducedOptions::default())?;
+//! assert_eq!(red.state_count(), 15); // 2^4 - 1
 //! # Ok::<(), petri::NetError>(())
 //! ```
 

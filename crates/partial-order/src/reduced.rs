@@ -3,37 +3,18 @@
 //! This module is the workspace's stand-in for the paper's "SPIN+PO" column:
 //! it explores only the enabled members of a stubborn set at each state,
 //! which preserves every reachable deadlock while skipping redundant
-//! interleavings of independent transitions.
+//! interleavings of independent transitions. The search itself is
+//! `petri`'s: a [`ReachabilityGraph`] explored under the stubborn-set
+//! [`Expansion`] rule defined here.
 
-use std::time::{Duration, Instant};
-
-use petri::checkpoint::{
-    read_deadlocks, read_states, write_deadlocks, write_states, ByteReader, ByteWriter,
-    CheckpointError, EngineKind,
-};
-use petri::parallel::{default_threads, explore_frontier_seeded, FrontierOptions, FrontierResult};
+use petri::checkpoint::{ByteReader, ByteWriter, CheckpointError, EngineKind};
+use petri::parallel::default_threads;
 use petri::{
-    Budget, CheckpointConfig, Marking, NetError, Outcome, PetriNet, Snapshot, TransitionId,
+    Budget, CheckpointConfig, Expansion, Marking, NetError, Outcome, PetriNet, ReachabilityGraph,
+    Snapshot, SnapshotTags, TransitionId,
 };
 
 use crate::stubborn::{SeedStrategy, StubbornSets};
-
-/// Section tags of a [`EngineKind::Reduced`] snapshot.
-mod section {
-    pub const STATES: u32 = 1;
-    pub const EXPANDED: u32 = 2;
-    pub const DEADLOCKS: u32 = 3;
-    pub const COUNTERS: u32 = 4;
-    pub const STRATEGY: u32 = 5;
-}
-
-fn strategy_tag(s: SeedStrategy) -> u8 {
-    match s {
-        SeedStrategy::FirstEnabled => 0,
-        SeedStrategy::BestOfEnabled => 1,
-        SeedStrategy::ConflictCluster => 2,
-    }
-}
 
 /// Options for [`ReducedReachability::explore_with`].
 #[derive(Debug, Clone)]
@@ -66,237 +47,89 @@ impl Default for ReducedOptions {
     }
 }
 
-/// Result of a partial-order-reduced exploration.
+/// The stubborn-set expansion rule: each state fires the enabled members
+/// of one stubborn set. No edges are recorded.
 ///
-/// The reduced graph visits a subset of the full reachability graph's states
-/// but reaches *every* deadlock (possibly by a different interleaving), so
-/// [`has_deadlock`](Self::has_deadlock) agrees with exhaustive analysis.
-///
-/// # Examples
-///
-/// ```
-/// use partial_order::ReducedReachability;
-/// use petri::{NetBuilder, ReachabilityGraph};
-///
-/// // three independent strands: full graph has 8 states, reduced has 4
-/// let mut b = NetBuilder::new("n");
-/// for i in 0..3 {
-///     let p = b.place_marked(format!("p{i}"));
-///     let q = b.place(format!("q{i}"));
-///     b.transition(format!("t{i}"), [p], [q]);
-/// }
-/// let net = b.build()?;
-/// let full = ReachabilityGraph::explore(&net)?;
-/// let red = ReducedReachability::explore(&net)?;
-/// assert_eq!(full.state_count(), 8);
-/// assert_eq!(red.state_count(), 4, "one interleaving: t0 t1 t2");
-/// assert_eq!(full.has_deadlock(), red.has_deadlock());
-/// # Ok::<(), petri::NetError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ReducedReachability {
-    /// The explored states, their expanded flags (the `false` entries are
-    /// the frontier a checkpointed run resumes from), and the deadlocks;
-    /// no edges are recorded.
-    graph: FrontierResult,
-    elapsed: Duration,
-    threads_used: usize,
+/// Its snapshot's identity section records the [`SeedStrategy`] and, for
+/// a property run, the visible-transition set: a stubborn-set exploration
+/// is only a sound prefix for the rule it was computed under, so a resume
+/// under another strategy or visible set is rejected.
+struct StubbornExpansion<'net> {
+    sets: StubbornSets<'net>,
+    /// The closures are seeded with a property's visible set; `false` for
+    /// the classical deadlock-preserving exploration.
+    property: bool,
 }
 
-impl ReducedReachability {
-    /// Explores with the default (best-of-enabled) strategy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotSafe`] if a firing violates safeness.
-    pub fn explore(net: &PetriNet) -> Result<Self, NetError> {
-        Self::explore_with(net, &ReducedOptions::default())
-    }
-
-    /// Explores with explicit options.
-    ///
-    /// This is the legacy all-or-nothing entry point; a hit state limit
-    /// discards the partial graph. Prefer
-    /// [`explore_bounded`](Self::explore_bounded) for graceful degradation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotSafe`] on a safeness violation or
-    /// [`NetError::StateLimit`] if the state limit is exceeded.
-    pub fn explore_with(net: &PetriNet, opts: &ReducedOptions) -> Result<Self, NetError> {
-        match Self::explore_bounded(net, opts, &Budget::default())? {
-            Outcome::Complete(red) => Ok(red),
-            Outcome::Partial { .. } => Err(NetError::StateLimit(opts.max_states)),
-        }
-    }
-
-    /// Explores under a cooperative resource [`Budget`].
-    ///
-    /// The effective state cap is the tighter of `opts.max_states` and
-    /// `budget.max_states`. On exhaustion the reduced graph built so far is
-    /// returned as [`Outcome::Partial`]: every stored marking is reachable,
-    /// so any deadlock in it is real, but absence of deadlocks in a partial
-    /// reduced graph proves nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotSafe`] on a safeness violation or
-    /// [`NetError::WorkerPanicked`] if a parallel worker died.
-    pub fn explore_bounded(
-        net: &PetriNet,
-        opts: &ReducedOptions,
-        budget: &Budget,
-    ) -> Result<Outcome<Self>, NetError> {
-        Self::explore_checkpointed(net, opts, budget, &CheckpointConfig::default(), None)
-    }
-
-    /// Like [`explore_bounded`](Self::explore_bounded), but optionally
-    /// resuming a prior partial graph and/or writing crash-safe snapshots
-    /// (see [`petri::checkpoint`] and
-    /// [`ReachabilityGraph::explore_checkpointed`](petri::ReachabilityGraph::explore_checkpointed)
-    /// for the segmenting protocol, which is identical here).
-    ///
-    /// The snapshot records the [`SeedStrategy`]; resuming under a
-    /// different strategy is rejected, since mixing reduction rules
-    /// mid-run would void the deadlock-preservation argument.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`explore_bounded`](Self::explore_bounded) returns, plus
-    /// [`NetError::Checkpoint`] for unusable snapshots.
-    pub fn explore_checkpointed(
-        net: &PetriNet,
-        opts: &ReducedOptions,
-        budget: &Budget,
-        ckpt: &CheckpointConfig,
-        resume: Option<&Snapshot>,
-    ) -> Result<Outcome<Self>, NetError> {
-        let visible = opts.visible.as_deref();
-        let prior = resume
-            .map(|snap| Self::from_snapshot(net, snap, opts.strategy, visible))
-            .transpose()
-            .map_err(|e| NetError::Checkpoint(e.to_string()))?;
-        ckpt.run_segments(
-            &budget.clone().cap_states(opts.max_states),
-            prior,
-            Self::state_count,
-            |segment, prior| Self::explore_resumed(net, opts, segment, prior),
-            |red| red.to_snapshot(net, opts.strategy, visible),
-        )
-    }
-
-    /// Continues exploring `prior` (or starts fresh) under `budget` on the
-    /// shared frontier engine.
-    fn explore_resumed(
-        net: &PetriNet,
-        opts: &ReducedOptions,
-        budget: &Budget,
-        prior: Option<Self>,
-    ) -> Result<Outcome<Self>, NetError> {
-        let start = Instant::now();
-        let threads = opts.threads.max(1);
-        let mut stubborn = StubbornSets::new_with_threads(net, opts.strategy, threads);
+impl<'net> StubbornExpansion<'net> {
+    fn new(net: &'net PetriNet, opts: &ReducedOptions) -> Self {
+        let mut sets = StubbornSets::new_with_threads(net, opts.strategy, opts.threads.max(1));
         if let Some(visible) = &opts.visible {
-            stubborn = stubborn.with_visible(visible.clone());
+            sets = sets.with_visible(visible.clone());
         }
+        StubbornExpansion {
+            sets,
+            property: opts.visible.is_some(),
+        }
+    }
+}
 
-        let (seed, base_elapsed) = match prior {
-            Some(red) => (red.graph, red.elapsed),
-            None => (
-                FrontierResult::initial(net.initial_marking().clone()),
-                Duration::ZERO,
-            ),
-        };
-        // the spread fills the cfg-gated fault-injection field in test builds
-        #[allow(clippy::needless_update)]
-        let outcome = explore_frontier_seeded(
-            seed,
-            &FrontierOptions {
-                threads,
-                record_edges: false,
-                budget: budget.clone(),
-                ..Default::default()
-            },
-            |m, out| {
-                for t in stubborn.enabled_stubborn(m) {
-                    out.push((t, net.fire(t, m)?));
-                }
-                Ok(())
-            },
-        )?;
-        Ok(outcome.map(|graph| ReducedReachability {
-            graph,
-            elapsed: base_elapsed + start.elapsed(),
-            threads_used: threads,
-        }))
+impl Expansion for StubbornExpansion<'_> {
+    const KIND: EngineKind = EngineKind::Reduced;
+    const TAGS: SnapshotTags = SnapshotTags {
+        states: 1,
+        expanded: 2,
+        deadlocks: 3,
+        counters: 4,
+        identity: 5,
+    };
+
+    fn record_edges(&self) -> bool {
+        false
     }
 
-    /// Serializes this (typically partial) reduced graph as a snapshot,
-    /// recording the visible-transition set of a property-preserving
-    /// exploration. With `None` (the classical deadlock-preserving
-    /// exploration) the strategy section keeps its legacy one-byte layout.
-    pub fn to_snapshot(
+    #[inline]
+    fn successors(
         &self,
         net: &PetriNet,
-        strategy: SeedStrategy,
-        visible: Option<&[TransitionId]>,
-    ) -> Snapshot {
-        let mut snap = Snapshot::new(EngineKind::Reduced, net);
-        let (g, tags) = (&self.graph, [section::STATES, section::EXPANDED]);
-        write_states(&mut snap, tags, net, &g.states, &g.expanded);
-        let tags = [section::DEADLOCKS, section::COUNTERS];
-        let deadlocks = g.deadlocks.iter().map(|&d| d as usize);
-        write_deadlocks(&mut snap, tags, deadlocks, g.edge_count, self.elapsed);
+        m: &Marking,
+        out: &mut Vec<(TransitionId, Marking)>,
+    ) -> Result<(), NetError> {
+        for t in self.sets.enabled_stubborn(m) {
+            out.push((t, net.fire(t, m)?));
+        }
+        Ok(())
+    }
 
-        let mut w = ByteWriter::new();
-        w.u8(strategy_tag(strategy));
-        if let Some(visible) = visible {
-            // the legacy layout is exactly one byte; a visible run appends
-            // its transition set so a resume can verify it explored under
-            // the same visibility condition
+    fn write_identity(&self, w: &mut ByteWriter, _succ: &[Vec<(TransitionId, u32)>]) {
+        w.u8(self.sets.strategy() as u8);
+        if self.property {
+            // the deadlock-preserving layout is exactly one byte; a
+            // property run appends its visible set
+            let visible = self.sets.visible();
             w.usize(visible.len());
             for &t in visible {
                 w.u32(t.index() as u32);
             }
         }
-        snap.push_section(section::STRATEGY, w.into_bytes());
-
-        snap
     }
 
-    /// Rebuilds a (typically partial) reduced graph from a snapshot,
-    /// validating engine kind, net fingerprint, stored strategy, all
-    /// structural invariants, and the stored visible-transition set
-    /// against the current run's: a stubborn-set exploration is only a
-    /// sound prefix for the visibility condition it was computed under.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`CheckpointError`] for foreign, mismatched, or
-    /// inconsistent snapshots, including any visible-set disagreement.
-    pub fn from_snapshot(
+    fn read_identity(
+        &self,
+        r: &mut ByteReader<'_>,
         net: &PetriNet,
-        snap: &Snapshot,
-        strategy: SeedStrategy,
-        visible: Option<&[TransitionId]>,
-    ) -> Result<Self, CheckpointError> {
-        snap.validate(EngineKind::Reduced, net.fingerprint())?;
-
-        let payload = snap.require_section(section::STRATEGY)?;
-        let mut r = ByteReader::new(payload, section::STRATEGY);
+        states: usize,
+    ) -> Result<Vec<Vec<(TransitionId, u32)>>, CheckpointError> {
         let stored_strategy = r.u8()?;
-        if stored_strategy != strategy_tag(strategy) {
-            return Err(CheckpointError::Malformed {
-                section: section::STRATEGY,
-                detail: format!(
-                    "snapshot uses stubborn-set strategy {stored_strategy}, run uses {}",
-                    strategy_tag(strategy)
-                ),
-            });
+        let strategy = self.sets.strategy() as u8;
+        if stored_strategy != strategy {
+            return Err(r.malformed(format!(
+                "snapshot uses stubborn-set strategy {stored_strategy}, run uses {strategy}"
+            )));
         }
-        // a one-byte payload is the legacy (deadlock-preserving) layout;
-        // anything longer carries the visible set of a property run
-        let stored_visible: Option<Vec<TransitionId>> = if payload.len() > 1 {
+        let stored_visible: Option<Vec<TransitionId>> = if r.at_end() {
+            None
+        } else {
             let n = r.usize()?;
             if n > net.transition_count() {
                 return Err(r.malformed("implausible visible-set length"));
@@ -310,109 +143,109 @@ impl ReducedReachability {
                 v.push(TransitionId::new(t));
             }
             Some(v)
-        } else {
-            None
         };
-        r.finish()?;
+        let visible = self.property.then(|| self.sets.visible());
         if stored_visible.as_deref() != visible {
-            return Err(CheckpointError::Malformed {
-                section: section::STRATEGY,
-                detail: format!(
-                    "snapshot was written under visible set {:?}, run uses {:?} \
-                     (explorations under different properties cannot be mixed)",
-                    stored_visible.as_deref().map(<[TransitionId]>::len),
-                    visible.map(<[TransitionId]>::len),
-                ),
-            });
+            return Err(r.malformed(format!(
+                "snapshot was written under visible set {:?}, run uses {:?} \
+                 (explorations under different properties cannot be mixed)",
+                stored_visible.as_deref().map(<[TransitionId]>::len),
+                visible.map(<[TransitionId]>::len),
+            )));
         }
-
-        let (states, expanded) = read_states(snap, [section::STATES, section::EXPANDED], net)?;
-        let tags = [section::DEADLOCKS, section::COUNTERS];
-        let (deadlocks, edge_count, elapsed) = read_deadlocks(snap, tags, &expanded)?;
-
-        Ok(ReducedReachability {
-            graph: FrontierResult {
-                succ: vec![Vec::new(); states.len()],
-                origin: Vec::new(),
-                deadlocks: deadlocks.into_iter().map(|d| d as u32).collect(),
-                states,
-                expanded,
-                edge_count,
-            },
-            elapsed,
-            threads_used: 1,
-        })
+        Ok(vec![Vec::new(); states])
     }
+}
 
-    /// Number of states in the reduced graph.
-    pub fn state_count(&self) -> usize {
-        self.graph.states.len()
-    }
+/// Partial-order-reduced exploration: a [`ReachabilityGraph`] explored
+/// under the stubborn-set rule.
+///
+/// The reduced graph visits a subset of the full reachability graph's states
+/// but reaches *every* deadlock (possibly by a different interleaving), so
+/// its [`has_deadlock`](ReachabilityGraph::has_deadlock) agrees with
+/// exhaustive analysis. It records no edges, so it gives no traces.
+///
+/// # Examples
+///
+/// ```
+/// use partial_order::{ReducedOptions, ReducedReachability};
+/// use petri::{NetBuilder, ReachabilityGraph};
+///
+/// // three independent strands: full graph has 8 states, reduced has 4
+/// let mut b = NetBuilder::new("n");
+/// for i in 0..3 {
+///     let p = b.place_marked(format!("p{i}"));
+///     let q = b.place(format!("q{i}"));
+///     b.transition(format!("t{i}"), [p], [q]);
+/// }
+/// let net = b.build()?;
+/// let full = ReachabilityGraph::explore(&net)?;
+/// let red = ReducedReachability::explore_with(&net, &ReducedOptions::default())?;
+/// assert_eq!(full.state_count(), 8);
+/// assert_eq!(red.state_count(), 4, "one interleaving: t0 t1 t2");
+/// assert_eq!(full.has_deadlock(), red.has_deadlock());
+/// # Ok::<(), petri::NetError>(())
+/// ```
+#[derive(Debug)]
+pub enum ReducedReachability {}
 
-    /// Number of edges fired during the reduced exploration.
-    pub fn edge_count(&self) -> usize {
-        self.graph.edge_count
-    }
-
-    /// `true` if a dead marking was reached. Stubborn-set reduction
-    /// preserves deadlocks, so this agrees with exhaustive analysis.
-    pub fn has_deadlock(&self) -> bool {
-        !self.graph.deadlocks.is_empty()
-    }
-
-    /// The dead markings found.
-    pub fn deadlock_markings(&self) -> impl Iterator<Item = &Marking> + '_ {
-        let states = &self.graph.states;
-        self.graph
-            .deadlocks
-            .iter()
-            .map(move |&i| &states[i as usize])
-    }
-
-    /// All states of the reduced graph.
-    pub fn markings(&self) -> impl ExactSizeIterator<Item = &Marking> + '_ {
-        self.graph.states.iter()
-    }
-
-    /// Wall-clock exploration time.
-    pub fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    /// Exploration throughput in states per second.
-    pub fn states_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.graph.states.len() as f64 / secs
-        } else {
-            f64::INFINITY
+impl ReducedReachability {
+    /// Explores with explicit options.
+    ///
+    /// This is the all-or-nothing entry point; a hit state limit discards
+    /// the partial graph. Prefer
+    /// [`explore_checkpointed`](Self::explore_checkpointed) for graceful
+    /// degradation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::NotSafe`] on a safeness violation or
+    /// [`NetError::StateLimit`] if the state limit is exceeded.
+    pub fn explore_with(
+        net: &PetriNet,
+        opts: &ReducedOptions,
+    ) -> Result<ReachabilityGraph, NetError> {
+        let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
+        match Self::explore_checkpointed(net, opts, &budget, &ckpt, None)? {
+            Outcome::Complete(red) => Ok(red),
+            Outcome::Partial { .. } => Err(NetError::StateLimit(opts.max_states)),
         }
     }
 
-    /// How many worker threads the exploration ran on.
-    pub fn threads_used(&self) -> usize {
-        self.threads_used
-    }
-
-    /// Every transition fired at least once during the reduced exploration.
-    pub fn fired_transitions(&self, net: &PetriNet) -> Vec<TransitionId> {
-        // recomputed on demand from the stored states (states are few by
-        // construction); used by the CLI for quick liveness hints
-        let stubborn = StubbornSets::new(net, SeedStrategy::BestOfEnabled);
-        let mut fired = vec![false; net.transition_count()];
-        for m in &self.graph.states {
-            for t in stubborn.enabled_stubborn(m) {
-                fired[t.index()] = true;
-            }
-        }
-        net.transitions().filter(|t| fired[t.index()]).collect()
+    /// Explores under a cooperative resource [`Budget`], optionally
+    /// resuming a prior partial graph and/or writing crash-safe snapshots
+    /// (see [`ReachabilityGraph::explore_rule`] for the segmenting
+    /// protocol).
+    ///
+    /// The effective state cap is the tighter of `opts.max_states` and
+    /// `budget.max_states`. On exhaustion the reduced graph built so far is
+    /// returned as [`Outcome::Partial`]: every stored marking is reachable,
+    /// so any deadlock in it is real, but absence of deadlocks in a partial
+    /// reduced graph proves nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::NotSafe`] on a safeness violation,
+    /// [`NetError::WorkerPanicked`] if a parallel worker died, or
+    /// [`NetError::Checkpoint`] for an unusable snapshot, including one
+    /// written under another strategy or visible set.
+    pub fn explore_checkpointed(
+        net: &PetriNet,
+        opts: &ReducedOptions,
+        budget: &Budget,
+        ckpt: &CheckpointConfig,
+        resume: Option<&Snapshot>,
+    ) -> Result<Outcome<ReachabilityGraph>, NetError> {
+        let rule = StubbornExpansion::new(net, opts);
+        let budget = budget.clone().cap_states(opts.max_states);
+        ReachabilityGraph::explore_rule(net, &rule, opts.threads, &budget, ckpt, resume)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petri::{NetBuilder, ReachabilityGraph};
+    use petri::{FullExpansion, NetBuilder};
 
     /// The paper's Figure 2 net: n concurrently marked binary conflict
     /// places.
@@ -495,7 +328,7 @@ mod tests {
         b.transition("go", [p], [q]);
         b.transition("back", [q], [p]);
         let net = b.build().unwrap();
-        let red = ReducedReachability::explore(&net).unwrap();
+        let red = ReducedReachability::explore_with(&net, &ReducedOptions::default()).unwrap();
         assert!(!red.has_deadlock());
         assert_eq!(red.state_count(), 2);
     }
@@ -517,7 +350,7 @@ mod tests {
     #[test]
     fn bounded_exploration_returns_partial_graph() {
         use petri::ExhaustionReason;
-        let outcome = ReducedReachability::explore_bounded(
+        let outcome = ReducedReachability::explore_checkpointed(
             &fig2(4),
             &ReducedOptions {
                 strategy: SeedStrategy::BestOfEnabled,
@@ -526,6 +359,8 @@ mod tests {
                 visible: None,
             },
             &Budget::default(),
+            &CheckpointConfig::default(),
+            None,
         )
         .unwrap();
         let Outcome::Partial {
@@ -544,8 +379,8 @@ mod tests {
         let full = ReachabilityGraph::explore(&fig2(4)).unwrap();
         let reachable: std::collections::HashSet<_> =
             full.states().map(|s| full.marking(s).clone()).collect();
-        for m in result.markings() {
-            assert!(reachable.contains(m));
+        for s in result.states() {
+            assert!(reachable.contains(result.marking(s)));
         }
     }
 
@@ -560,20 +395,21 @@ mod tests {
                 threads,
                 visible: None,
             };
-            let reference = ReducedReachability::explore_bounded(&net, &opts, &Budget::default())
-                .unwrap()
-                .into_value();
+            let no_ckpt = CheckpointConfig::default();
+            let reference = ReducedReachability::explore_with(&net, &opts).unwrap();
+            let cap = Budget::default().cap_states(5);
             let partial =
-                ReducedReachability::explore_bounded(&net, &opts, &Budget::default().cap_states(5))
+                ReducedReachability::explore_checkpointed(&net, &opts, &cap, &no_ckpt, None)
                     .unwrap();
             assert!(!partial.is_complete(), "threads={threads}");
-            let snap = partial.value().to_snapshot(&net, opts.strategy, None);
+            let rule = StubbornExpansion::new(&net, &opts);
+            let snap = partial.value().to_snapshot(&net, &rule);
             let decoded = petri::Snapshot::from_bytes(&snap.to_bytes()).unwrap();
             let resumed = ReducedReachability::explore_checkpointed(
                 &net,
                 &opts,
                 &Budget::default(),
-                &petri::CheckpointConfig::default(),
+                &no_ckpt,
                 Some(&decoded),
             )
             .unwrap();
@@ -581,8 +417,13 @@ mod tests {
             let resumed = resumed.into_value();
             assert_eq!(resumed.state_count(), reference.state_count());
             assert_eq!(resumed.edge_count(), reference.edge_count());
-            let ref_dead: BTreeSet<&Marking> = reference.deadlock_markings().collect();
-            let res_dead: BTreeSet<&Marking> = resumed.deadlock_markings().collect();
+            let dead = |g: &ReachabilityGraph| -> BTreeSet<Marking> {
+                g.deadlocks()
+                    .iter()
+                    .map(|&d| g.marking(d).clone())
+                    .collect()
+            };
+            let (ref_dead, res_dead) = (dead(&reference), dead(&resumed));
             assert_eq!(ref_dead, res_dead, "threads={threads}");
         }
     }
@@ -590,41 +431,31 @@ mod tests {
     #[test]
     fn snapshot_strategy_mismatch_is_rejected() {
         let net = fig2(3);
-        let red = ReducedReachability::explore(&net).unwrap();
-        let snap = red.to_snapshot(&net, SeedStrategy::BestOfEnabled, None);
-        let err =
-            ReducedReachability::from_snapshot(&net, &snap, SeedStrategy::ConflictCluster, None)
-                .unwrap_err();
+        let opts = |strategy| ReducedOptions {
+            strategy,
+            ..Default::default()
+        };
+        let best = StubbornExpansion::new(&net, &opts(SeedStrategy::BestOfEnabled));
+        let cluster = StubbornExpansion::new(&net, &opts(SeedStrategy::ConflictCluster));
+        let red = ReducedReachability::explore_with(&net, &opts(SeedStrategy::BestOfEnabled));
+        let snap = red.unwrap().to_snapshot(&net, &best);
+        let err = ReachabilityGraph::from_snapshot(&net, &snap, &cluster).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed { .. }));
         // and the wrong engine kind is caught before anything decodes
-        let full_snap = petri::ReachabilityGraph::explore(&net)
+        let full_snap = ReachabilityGraph::explore(&net)
             .unwrap()
-            .to_snapshot(&net, true);
-        let err =
-            ReducedReachability::from_snapshot(&net, &full_snap, SeedStrategy::BestOfEnabled, None)
-                .unwrap_err();
+            .to_snapshot(&net, &FullExpansion { record_edges: true });
+        let err = ReachabilityGraph::from_snapshot(&net, &full_snap, &best).unwrap_err();
         assert!(matches!(err, CheckpointError::EngineMismatch { .. }));
     }
 
     #[test]
     fn dead_markings_are_really_dead() {
         let net = fig2(3);
-        let red = ReducedReachability::explore(&net).unwrap();
+        let red = ReducedReachability::explore_with(&net, &ReducedOptions::default()).unwrap();
         assert!(red.has_deadlock());
-        for m in red.deadlock_markings() {
-            assert!(net.is_dead(m));
+        for &d in red.deadlocks() {
+            assert!(net.is_dead(red.marking(d)));
         }
-    }
-
-    #[test]
-    fn fired_transitions_reported() {
-        let net = fig2(2);
-        let red = ReducedReachability::explore(&net).unwrap();
-        let fired = red.fired_transitions(&net);
-        assert_eq!(
-            fired.len(),
-            net.transition_count(),
-            "every branch fired somewhere"
-        );
     }
 }

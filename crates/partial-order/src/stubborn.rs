@@ -32,20 +32,22 @@ use petri::{BitSet, ConflictInfo, Marking, PetriNet, TransitionId};
 
 use crate::dependency::Dependencies;
 
-/// How the stubborn-set closure is seeded at each explored marking.
+/// How the stubborn-set closure is seeded at each explored marking. The
+/// discriminant is the strategy's tag in a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
 pub enum SeedStrategy {
     /// Seed with the first enabled transition (cheapest, weakest reduction).
-    FirstEnabled,
+    FirstEnabled = 0,
     /// Try every enabled transition as seed and keep the closure with the
     /// fewest enabled members (strongest reduction, costs one closure per
     /// enabled transition).
     #[default]
-    BestOfEnabled,
+    BestOfEnabled = 1,
     /// The paper's anticipation rule: seed with all enabled members of one
     /// conflict cluster (maximal conflicting set), trying each cluster and
     /// keeping the smallest result.
-    ConflictCluster,
+    ConflictCluster = 2,
 }
 
 /// Reusable stubborn-set computer for one net.

@@ -59,8 +59,12 @@ proptest! {
                 &ReducedOptions { strategy, max_states: usize::MAX, ..Default::default() },
             ).expect("validated safe");
             prop_assert!(red.state_count() <= full.state_count(), "{:?}", strategy);
-            for m in red.markings() {
-                prop_assert!(full.contains(m), "{:?}: unreachable marking visited", strategy);
+            for s in red.states() {
+                prop_assert!(
+                    full.contains(red.marking(s)),
+                    "{:?}: unreachable marking visited",
+                    strategy
+                );
             }
         }
     }
@@ -69,9 +73,10 @@ proptest! {
     #[test]
     fn reduced_deadlocks_are_real(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let red = ReducedReachability::explore(&net).expect("validated safe");
-        for m in red.deadlock_markings() {
-            prop_assert!(net.is_dead(m));
+        let red = ReducedReachability::explore_with(&net, &ReducedOptions::default())
+            .expect("validated safe");
+        for &d in red.deadlocks() {
+            prop_assert!(net.is_dead(red.marking(d)));
         }
     }
 
@@ -104,7 +109,7 @@ proptest! {
                         ..Default::default()
                     },
                 ).expect("validated safe");
-                let red_goal = red.markings().any(|m| compiled.goal(&net, m));
+                let red_goal = red.states().any(|s| compiled.goal(&net, red.marking(s)));
                 prop_assert_eq!(
                     red_goal,
                     full_goal,

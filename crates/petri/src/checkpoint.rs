@@ -29,12 +29,10 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use crate::bitset::BitSet;
 use crate::budget::{Budget, ExhaustionReason, Outcome};
 use crate::error::NetError;
-use crate::marking::Marking;
 use crate::net::PetriNet;
 
 /// File magic: identifies a julie checkpoint.
@@ -216,6 +214,13 @@ impl Snapshot {
     /// Appends a section.
     pub fn push_section(&mut self, tag: u32, payload: Vec<u8>) {
         self.sections.push(Section { tag, payload });
+    }
+
+    /// Appends a section whose payload `write` encodes.
+    pub fn push_with(&mut self, tag: u32, write: impl FnOnce(&mut ByteWriter)) {
+        let mut w = ByteWriter::new();
+        write(&mut w);
+        self.push_section(tag, w.into_bytes());
     }
 
     /// The payload of the first section with `tag`, if present.
@@ -631,10 +636,7 @@ impl ReductionStamp {
         w.u64(self.original_fingerprint);
         w.usize(self.places);
         w.usize(self.transitions);
-        w.usize(self.rules.len());
-        for b in self.rules.bytes() {
-            w.u8(b);
-        }
+        w.str(&self.rules);
         w.into_bytes()
     }
 
@@ -653,18 +655,7 @@ impl ReductionStamp {
         let original_fingerprint = r.u64()?;
         let places = r.usize()?;
         let transitions = r.usize()?;
-        let len = r.usize()?;
-        if len > 1024 {
-            return Err(r.malformed("implausible rule list length"));
-        }
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len {
-            bytes.push(r.u8()?);
-        }
-        let rules = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-            section: REDUCTION_SECTION,
-            detail: "rule list is not UTF-8".into(),
-        })?;
+        let rules = r.str(1024)?;
         r.finish()?;
         Ok(ReductionStamp {
             rules,
@@ -718,10 +709,7 @@ impl PropertyStamp {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u8(1); // stamp layout version
-        w.usize(self.property.len());
-        for b in self.property.bytes() {
-            w.u8(b);
-        }
+        w.str(&self.property);
         w.into_bytes()
     }
 
@@ -737,18 +725,7 @@ impl PropertyStamp {
         if version != 1 {
             return Err(r.malformed(format!("unknown property stamp version {version}")));
         }
-        let len = r.usize()?;
-        if len > 64 * 1024 {
-            return Err(r.malformed("implausible property length"));
-        }
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len {
-            bytes.push(r.u8()?);
-        }
-        let property = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-            section: PROPERTY_SECTION,
-            detail: "property text is not UTF-8".into(),
-        })?;
+        let property = r.str(64 * 1024)?;
         r.finish()?;
         Ok(PropertyStamp { property })
     }
@@ -804,10 +781,7 @@ impl JobStamp {
         w.u64(self.max_states);
         w.u64(self.max_bytes);
         w.u64(self.timeout_secs);
-        w.usize(self.id.len());
-        for b in self.id.bytes() {
-            w.u8(b);
-        }
+        w.str(&self.id);
         w.into_bytes()
     }
 
@@ -826,18 +800,7 @@ impl JobStamp {
         let max_states = r.u64()?;
         let max_bytes = r.u64()?;
         let timeout_secs = r.u64()?;
-        let len = r.usize()?;
-        if len > 256 {
-            return Err(r.malformed("implausible job id length"));
-        }
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len {
-            bytes.push(r.u8()?);
-        }
-        let id = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-            section: JOB_SECTION,
-            detail: "job id is not UTF-8".into(),
-        })?;
+        let id = r.str(256)?;
         r.finish()?;
         Ok(JobStamp {
             id,
@@ -895,10 +858,7 @@ impl EngineStamp {
         let mut w = ByteWriter::new();
         w.u8(1); // stamp layout version
         w.u8(u8::from(self.portfolio));
-        w.usize(self.engine.len());
-        for b in self.engine.bytes() {
-            w.u8(b);
-        }
+        w.str(&self.engine);
         w.into_bytes()
     }
 
@@ -919,18 +879,7 @@ impl EngineStamp {
             1 => true,
             other => return Err(r.malformed(format!("bad portfolio flag {other}"))),
         };
-        let len = r.usize()?;
-        if len > 64 {
-            return Err(r.malformed("implausible engine name length"));
-        }
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len {
-            bytes.push(r.u8()?);
-        }
-        let engine = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-            section: ENGINE_SECTION,
-            detail: "engine name is not UTF-8".into(),
-        })?;
+        let engine = r.str(64)?;
         r.finish()?;
         Ok(EngineStamp { engine, portfolio })
     }
@@ -1085,6 +1034,12 @@ impl ByteWriter {
         self.u64(v as u64);
     }
 
+    /// Appends a string as its byte length (a usize) and its UTF-8 bytes.
+    pub fn str(&mut self, s: &str) {
+        self.usize(s.len());
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
     /// Appends a bit set as its block words (the capacity is implied by
     /// the context reading it back).
     pub fn bits(&mut self, bits: &BitSet) {
@@ -1193,6 +1148,24 @@ impl<'a> ByteReader<'a> {
         usize::try_from(self.u64()?).map_err(|_| self.malformed("count does not fit usize"))
     }
 
+    /// Reads a string written by [`ByteWriter::str`] of at most `max_len`
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::Malformed`] on truncation, a length over
+    /// `max_len`, or bytes that are not UTF-8.
+    pub fn str(&mut self, max_len: usize) -> Result<String, CheckpointError> {
+        let len = self.usize()?;
+        if len > max_len {
+            return Err(self.malformed(format!(
+                "implausible string length {len} (at most {max_len})"
+            )));
+        }
+        let bytes = self.take(len)?.to_vec();
+        String::from_utf8(bytes).map_err(|_| self.malformed("string is not UTF-8"))
+    }
+
     /// Reads a bit set over the universe `0..capacity`.
     ///
     /// # Errors
@@ -1221,6 +1194,11 @@ impl<'a> ByteReader<'a> {
         Ok((0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
     }
 
+    /// `true` once the whole payload has been read.
+    pub fn at_end(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
     /// Checks that the payload was fully consumed.
     ///
     /// # Errors
@@ -1235,126 +1213,6 @@ impl<'a> ByteReader<'a> {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------
-// Sections shared by the marking-based engines
-// ---------------------------------------------------------------------
-
-/// Pushes the state table (place count, state count, each marking's place
-/// bits) and the expanded flags under the engine's `[states, expanded]`
-/// section tags.
-pub fn write_states(
-    snap: &mut Snapshot,
-    tags: [u32; 2],
-    net: &PetriNet,
-    states: &[Marking],
-    expanded: &[bool],
-) {
-    let mut w = ByteWriter::new();
-    w.u32(net.place_count() as u32);
-    w.usize(states.len());
-    for m in states {
-        w.bits(m.as_bits());
-    }
-    snap.push_section(tags[0], w.into_bytes());
-    let mut w = ByteWriter::new();
-    w.bools(expanded);
-    snap.push_section(tags[1], w.into_bytes());
-}
-
-/// Reads what [`write_states`] wrote, checked against `net`: same place
-/// count, state 0 is the initial marking, no duplicate states, and one
-/// expanded flag per state.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Malformed`] when a check fails, or a typed
-/// error when a section is missing or truncated.
-pub fn read_states(
-    snap: &Snapshot,
-    tags: [u32; 2],
-    net: &PetriNet,
-) -> Result<(Vec<Marking>, Vec<bool>), CheckpointError> {
-    let mut r = ByteReader::new(snap.require_section(tags[0])?, tags[0]);
-    let place_count = r.u32()? as usize;
-    if place_count != net.place_count() {
-        return Err(r.malformed(format!(
-            "snapshot has {place_count} places, net has {}",
-            net.place_count()
-        )));
-    }
-    let count = r.usize()?;
-    let mut states = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        states.push(Marking::from_bits(r.bits(place_count)?));
-    }
-    if states.first() != Some(net.initial_marking()) {
-        return Err(r.malformed("state 0 is not the net's initial marking"));
-    }
-    let distinct: std::collections::HashSet<&Marking> = states.iter().collect();
-    if distinct.len() != count {
-        return Err(r.malformed("duplicate markings in state table"));
-    }
-    r.finish()?;
-    let mut r = ByteReader::new(snap.require_section(tags[1])?, tags[1]);
-    let expanded = r.bools()?;
-    if expanded.len() != count {
-        return Err(r.malformed("expanded bitmap length disagrees with state count"));
-    }
-    r.finish()?;
-    Ok((states, expanded))
-}
-
-/// Pushes the deadlock state ids and the counters (fired edges, elapsed
-/// time) under the engine's `[deadlocks, counters]` section tags.
-pub fn write_deadlocks(
-    snap: &mut Snapshot,
-    tags: [u32; 2],
-    deadlocks: impl ExactSizeIterator<Item = usize>,
-    edge_count: usize,
-    elapsed: Duration,
-) {
-    let mut w = ByteWriter::new();
-    w.usize(deadlocks.len());
-    for d in deadlocks {
-        w.u32(d as u32);
-    }
-    snap.push_section(tags[0], w.into_bytes());
-    let mut w = ByteWriter::new();
-    w.usize(edge_count);
-    w.u64(elapsed.as_nanos() as u64);
-    snap.push_section(tags[1], w.into_bytes());
-}
-
-/// Reads what [`write_deadlocks`] wrote as `(deadlocks, edge_count,
-/// elapsed)`; every deadlock id must name an expanded state.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Malformed`] for a bad deadlock id, or a
-/// typed error when a section is missing or truncated.
-pub fn read_deadlocks(
-    snap: &Snapshot,
-    tags: [u32; 2],
-    expanded: &[bool],
-) -> Result<(Vec<usize>, usize, Duration), CheckpointError> {
-    let mut r = ByteReader::new(snap.require_section(tags[0])?, tags[0]);
-    let n = r.usize()?;
-    let mut deadlocks = Vec::with_capacity(n.min(expanded.len()));
-    for _ in 0..n {
-        let d = r.u32()? as usize;
-        if !expanded.get(d).copied().unwrap_or(false) {
-            return Err(r.malformed("deadlock id out of range or unexpanded"));
-        }
-        deadlocks.push(d);
-    }
-    r.finish()?;
-    let mut r = ByteReader::new(snap.require_section(tags[1])?, tags[1]);
-    let edge_count = r.usize()?;
-    let elapsed = Duration::from_nanos(r.u64()?);
-    r.finish()?;
-    Ok((deadlocks, edge_count, elapsed))
 }
 
 #[cfg(test)]
@@ -1648,6 +1506,9 @@ mod tests {
         assert_eq!(EngineStamp::from_snapshot(&snap).unwrap().unwrap(), stamp);
         let reread = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(EngineStamp::from_snapshot(&reread).unwrap().unwrap(), stamp);
+        // version, flag, then the name as a u64 length and its bytes
+        let layout = [1, 1, 3, 0, 0, 0, 0, 0, 0, 0, b'g', b'p', b'o'];
+        assert_eq!(stamp.encode(), layout);
     }
 
     #[test]
@@ -1665,6 +1526,11 @@ mod tests {
         .encode();
         good.push(0); // trailing byte
         assert!(EngineStamp::decode(&good).is_err());
+        // the name is capped at 64 bytes and must be UTF-8
+        let stamp = |name: &[u8]| [&[1, 0, name.len() as u8, 0, 0, 0, 0, 0, 0, 0], name].concat();
+        assert!(EngineStamp::decode(&stamp(&[b'x'; 64])).is_ok());
+        assert!(EngineStamp::decode(&stamp(&[b'x'; 65])).is_err());
+        assert!(EngineStamp::decode(&stamp(&[0xff])).is_err());
     }
 
     #[test]

@@ -163,7 +163,14 @@ impl ConflictInfo {
     /// [`choice_groups`](Self::choice_groups) product), saturating at
     /// `u128::MAX`.
     pub fn conflict_free_set_count(&self) -> u128 {
-        self.choice_groups()
+        Self::product_size(&self.choice_groups())
+    }
+
+    /// The number of sets in the product of `groups` (one pick per group,
+    /// as from [`choice_groups`](Self::choice_groups)), saturating at
+    /// `u128::MAX`.
+    pub fn product_size(groups: &[Vec<BitSet>]) -> u128 {
+        groups
             .iter()
             .fold(1u128, |acc, g| acc.saturating_mul(g.len() as u128))
     }

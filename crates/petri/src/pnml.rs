@@ -123,9 +123,11 @@ impl Document {
                         }
                     }
                     if self_closing {
+                        // a place or arc outside any `<net>` was never
+                        // begun, so it is skipped, as on the close path
                         match name.as_str() {
-                            "place" => self.places.push(place.take().expect("just set")),
-                            "arc" => self.arcs.push(arc.take().expect("just set")),
+                            "place" => self.places.extend(place.take()),
+                            "arc" => self.arcs.extend(arc.take()),
                             "net" if in_net => {
                                 in_net = false;
                                 done = true;
@@ -157,16 +159,8 @@ impl Document {
                         }
                     }
                     match name.as_str() {
-                        "place" => {
-                            if let Some(p) = place.take() {
-                                self.places.push(p);
-                            }
-                        }
-                        "arc" => {
-                            if let Some(a) = arc.take() {
-                                self.arcs.push(a);
-                            }
-                        }
+                        "place" => self.places.extend(place.take()),
+                        "arc" => self.arcs.extend(arc.take()),
                         "net" if in_net => {
                             in_net = false;
                             done = true;
@@ -685,6 +679,9 @@ mod tests {
                 "must connect a place and a transition",
             ),
             ("<pnml><net id=\"n\"></page></net></pnml>", "mismatched close tag"),
+            // a self-closing node outside any <net> is skipped, not recorded
+            (r#"<pnml><place id="p"/></pnml>"#, "no `<net>`"),
+            (r#"<pnml><arc source="a" target="b"/></pnml>"#, "no `<net>`"),
         ] {
             let err = parse_pnml(text).unwrap_err().to_string();
             assert!(err.contains(needle), "`{text}` -> `{err}`");

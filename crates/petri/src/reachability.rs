@@ -1,17 +1,22 @@
-//! Exhaustive reachability analysis ("conventional analysis", §2.2).
+//! Explicit-state reachability analysis ("conventional analysis", §2.2).
 //!
-//! Builds the full reachability graph `RG(N)` of a safe net by breadth-first
+//! Builds the reachability graph `RG(N)` of a safe net by breadth-first
 //! exploration with hashed visited states. This is the ground truth the
 //! reduced analyses are compared against, and the "States" column of the
 //! paper's Table 1.
+//!
+//! The search is parameterized by an [`Expansion`] rule: which transitions
+//! a state fires, and how a snapshot of the graph is tagged. Conventional
+//! analysis ([`FullExpansion`]) fires every enabled transition; the
+//! `partial-order` crate's stubborn-set rule fires the enabled members of
+//! one stubborn set and reuses this graph, loop and snapshot code as is.
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::budget::{Budget, Outcome};
 use crate::checkpoint::{
-    read_deadlocks, read_states, write_deadlocks, write_states, ByteReader, ByteWriter,
-    CheckpointConfig, CheckpointError, EngineKind, Snapshot,
+    ByteReader, ByteWriter, CheckpointConfig, CheckpointError, EngineKind, Snapshot,
 };
 use crate::error::NetError;
 use crate::ids::TransitionId;
@@ -19,13 +24,154 @@ use crate::marking::Marking;
 use crate::net::PetriNet;
 use crate::parallel::{default_threads, explore_frontier_seeded, FrontierOptions, FrontierResult};
 
-/// Section tags of a [`EngineKind::Full`] snapshot.
-mod section {
-    pub const STATES: u32 = 1;
-    pub const EXPANDED: u32 = 2;
-    pub const EDGES: u32 = 3;
-    pub const DEADLOCKS: u32 = 4;
-    pub const COUNTERS: u32 = 5;
+/// The section tags of a [`ReachabilityGraph`] snapshot, fixed per
+/// [`Expansion`] rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotTags {
+    /// The state table.
+    pub states: u32,
+    /// The expanded flags (the unexpanded states are the frontier).
+    pub expanded: u32,
+    /// The deadlock state ids.
+    pub deadlocks: u32,
+    /// The fired-edge count and elapsed time.
+    pub counters: u32,
+    /// The rule's identity ([`Expansion::write_identity`]).
+    pub identity: u32,
+}
+
+/// How an explicit-state search expands a state, and how a snapshot of
+/// the graph it builds is tagged.
+///
+/// The frontier loop is generic over the rule (static dispatch, no trait
+/// object), so each rule's successor function is called directly.
+pub trait Expansion: Sync {
+    /// The engine kind stamped into snapshots; resuming a snapshot of
+    /// another kind is rejected.
+    const KIND: EngineKind;
+    /// The snapshot's section tags.
+    const TAGS: SnapshotTags;
+
+    /// Whether the search keeps the labelled edges (needed for
+    /// [`ReachabilityGraph::path_to`] and DOT export).
+    fn record_edges(&self) -> bool;
+
+    /// Pushes the `(transition, successor)` pairs the rule fires at `m`;
+    /// none exactly when `m` is dead.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::NotSafe`] if a firing violates safeness.
+    fn successors(
+        &self,
+        net: &PetriNet,
+        m: &Marking,
+        out: &mut Vec<(TransitionId, Marking)>,
+    ) -> Result<(), NetError>;
+
+    /// Writes the identity section: what a resumed run must share with
+    /// the run that wrote the snapshot, plus the recorded edges `succ`
+    /// when the rule stores them.
+    fn write_identity(&self, w: &mut ByteWriter, succ: &[Vec<(TransitionId, u32)>]);
+
+    /// Reads what [`write_identity`](Self::write_identity) wrote for a
+    /// graph of `states` states, rejecting a snapshot taken under another
+    /// identity, and returns the recorded edges (one list per state).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::Malformed`] for a mismatched identity or
+    /// an inconsistent payload.
+    fn read_identity(
+        &self,
+        r: &mut ByteReader<'_>,
+        net: &PetriNet,
+        states: usize,
+    ) -> Result<Vec<Vec<(TransitionId, u32)>>, CheckpointError>;
+}
+
+/// Conventional analysis: every enabled transition fires.
+///
+/// Its snapshot's identity section is the edge section: the
+/// `record_edges` flag, then every state's recorded edges.
+#[derive(Debug, Clone, Copy)]
+pub struct FullExpansion {
+    /// Keep the labelled edges.
+    pub record_edges: bool,
+}
+
+impl Expansion for FullExpansion {
+    const KIND: EngineKind = EngineKind::Full;
+    const TAGS: SnapshotTags = SnapshotTags {
+        states: 1,
+        expanded: 2,
+        identity: 3,
+        deadlocks: 4,
+        counters: 5,
+    };
+
+    fn record_edges(&self) -> bool {
+        self.record_edges
+    }
+
+    // out of line, so the layout of this scan's inner bit-set loop does
+    // not move with the frontier worker's code: inlined there it landed
+    // across a 32-byte boundary and explored comb(200,16) about 25% slower
+    #[inline(never)]
+    fn successors(
+        &self,
+        net: &PetriNet,
+        m: &Marking,
+        out: &mut Vec<(TransitionId, Marking)>,
+    ) -> Result<(), NetError> {
+        for t in net.transitions() {
+            if net.enabled(t, m) {
+                out.push((t, net.fire(t, m)?));
+            }
+        }
+        Ok(())
+    }
+
+    fn write_identity(&self, w: &mut ByteWriter, succ: &[Vec<(TransitionId, u32)>]) {
+        w.u8(u8::from(self.record_edges));
+        for edges in succ {
+            w.u32(edges.len() as u32);
+            for &(t, dst) in edges {
+                w.u32(t.index() as u32);
+                w.u32(dst);
+            }
+        }
+    }
+
+    fn read_identity(
+        &self,
+        r: &mut ByteReader<'_>,
+        net: &PetriNet,
+        states: usize,
+    ) -> Result<Vec<Vec<(TransitionId, u32)>>, CheckpointError> {
+        let snap_recorded = r.u8()? != 0;
+        if snap_recorded != self.record_edges {
+            return Err(r.malformed(format!(
+                "snapshot was taken with record_edges={snap_recorded}, run uses {}",
+                self.record_edges
+            )));
+        }
+        let mut succ = Vec::with_capacity(states);
+        for _ in 0..states {
+            let n = r.u32()? as usize;
+            let mut edges = Vec::with_capacity(n);
+            for _ in 0..n {
+                let t = r.u32()? as usize;
+                let dst = r.u32()? as usize;
+                if t >= net.transition_count() || dst >= states {
+                    return Err(r.malformed("edge references an out-of-range id"));
+                }
+                edges.push((TransitionId::new(t), dst as u32));
+            }
+            succ.push(edges);
+        }
+        Ok(succ)
+    }
 }
 
 /// Identifier of a state (vertex) in a [`ReachabilityGraph`].
@@ -83,7 +229,9 @@ impl Default for ExploreOptions {
     }
 }
 
-/// The full reachability graph of a safe Petri net.
+/// The reachability graph of a safe Petri net under an [`Expansion`]
+/// rule: the full graph for [`FullExpansion`], a reduced subgraph for a
+/// stubborn-set rule.
 ///
 /// # Examples
 ///
@@ -106,8 +254,8 @@ impl Default for ExploreOptions {
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
     /// States, expanded flags (the `false` entries are the frontier a
-    /// checkpointed run resumes from), labelled edges (none if
-    /// `record_edges` was off) and deadlock ids.
+    /// checkpointed run resumes from), labelled edges (none if the rule
+    /// does not record them) and deadlock ids.
     graph: FrontierResult,
     /// The deadlock ids again, typed for [`deadlocks`](Self::deadlocks).
     deadlocks: Vec<StateId>,
@@ -167,20 +315,8 @@ impl ReachabilityGraph {
     }
 
     /// Like [`explore_bounded`](Self::explore_bounded), but optionally
-    /// resuming a prior partial graph and/or writing crash-safe snapshots.
-    ///
-    /// * `resume` — a snapshot previously produced by an interrupted run of
-    ///   this engine over the *same net* (validated via the embedded
-    ///   fingerprint). The exploration continues from the stored frontier
-    ///   and, run to completion, reaches the identical verdict, state
-    ///   count, and witnesses as a single uninterrupted run.
-    /// * `ckpt.path` — budget exhaustion writes a snapshot there before
-    ///   the partial outcome is returned.
-    /// * `ckpt.every` — additionally snapshots roughly every `every` newly
-    ///   stored states: the run proceeds in segments capped at
-    ///   `stored + every` states, each segment quiescing its workers at
-    ///   the frontier barrier before the snapshot is taken, then
-    ///   continuing in-process (see [`CheckpointConfig::run_segments`]).
+    /// resuming a prior partial graph and/or writing crash-safe snapshots
+    /// (see [`explore_rule`](Self::explore_rule)).
     ///
     /// # Errors
     ///
@@ -194,29 +330,70 @@ impl ReachabilityGraph {
         ckpt: &CheckpointConfig,
         resume: Option<&Snapshot>,
     ) -> Result<Outcome<Self>, NetError> {
+        let rule = FullExpansion {
+            record_edges: opts.record_edges,
+        };
+        let budget = budget.clone().cap_states(opts.max_states);
+        Self::explore_rule(net, &rule, opts.threads, &budget, ckpt, resume)
+    }
+
+    /// Explores the graph `rule` spans on `threads` workers (see
+    /// [`ExploreOptions::threads`]) under `budget`, optionally resuming a
+    /// prior partial graph and/or writing crash-safe snapshots.
+    ///
+    /// * `resume` — a snapshot previously produced by an interrupted run
+    ///   under the same rule over the *same net* (validated via the
+    ///   embedded fingerprint and the rule's identity section). The
+    ///   exploration continues from the stored frontier and, run to
+    ///   completion, reaches the identical verdict, state count, and
+    ///   witnesses as a single uninterrupted run.
+    /// * `ckpt.path` — budget exhaustion writes a snapshot there before
+    ///   the partial outcome is returned.
+    /// * `ckpt.every` — additionally snapshots roughly every `every` newly
+    ///   stored states: the run proceeds in segments capped at
+    ///   `stored + every` states, each segment quiescing its workers at
+    ///   the frontier barrier before the snapshot is taken, then
+    ///   continuing in-process (see [`CheckpointConfig::run_segments`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::NotSafe`] on a safeness violation,
+    /// [`NetError::WorkerPanicked`] if a parallel worker died,
+    /// [`NetError::StateIdOverflow`] past `u32::MAX` states, or
+    /// [`NetError::Checkpoint`] when `resume` is unusable or a snapshot
+    /// cannot be written.
+    pub fn explore_rule<R: Expansion>(
+        net: &PetriNet,
+        rule: &R,
+        threads: usize,
+        budget: &Budget,
+        ckpt: &CheckpointConfig,
+        resume: Option<&Snapshot>,
+    ) -> Result<Outcome<Self>, NetError> {
         let prior = resume
-            .map(|snap| Self::from_snapshot(net, snap, opts.record_edges))
+            .map(|snap| Self::from_snapshot(net, snap, rule))
             .transpose()
             .map_err(|e| NetError::Checkpoint(e.to_string()))?;
         ckpt.run_segments(
-            &budget.clone().cap_states(opts.max_states),
+            budget,
             prior,
             Self::state_count,
-            |segment, prior| Self::explore_resumed(net, opts, segment, prior),
-            |g| g.to_snapshot(net, opts.record_edges),
+            |segment, prior| Self::explore_resumed(net, rule, threads, segment, prior),
+            |g| g.to_snapshot(net, rule),
         )
     }
 
     /// Continues exploring `prior` (or starts fresh) under `budget` on the
     /// shared [`parallel`](crate::parallel) frontier engine.
-    fn explore_resumed(
+    fn explore_resumed<R: Expansion>(
         net: &PetriNet,
-        opts: &ExploreOptions,
+        rule: &R,
+        threads: usize,
         budget: &Budget,
         prior: Option<Self>,
     ) -> Result<Outcome<Self>, NetError> {
         let start = Instant::now();
-        let threads = opts.threads.max(1);
+        let threads = threads.max(1);
         let (seed, base_elapsed) = match prior {
             Some(g) => (g.graph, g.elapsed),
             None => (
@@ -230,18 +407,11 @@ impl ReachabilityGraph {
             seed,
             &FrontierOptions {
                 threads,
-                record_edges: opts.record_edges,
+                record_edges: rule.record_edges(),
                 budget: budget.clone(),
                 ..Default::default()
             },
-            |m, out| {
-                for t in net.transitions() {
-                    if net.enabled(t, m) {
-                        out.push((t, net.fire(t, m)?));
-                    }
-                }
-                Ok(())
-            },
+            |m, out| rule.successors(net, m, out),
         )?;
         Ok(outcome.map(|graph| ReachabilityGraph {
             deadlocks: graph.deadlocks.iter().map(|&d| StateId(d)).collect(),
@@ -251,95 +421,124 @@ impl ReachabilityGraph {
         }))
     }
 
-    /// Serializes this (typically partial) graph as a checkpoint snapshot.
-    ///
-    /// `record_edges` must match the [`ExploreOptions::record_edges`] the
-    /// graph was explored with; it is stored and re-checked on load so a
-    /// resumed run cannot silently end up with half-recorded edges.
-    pub fn to_snapshot(&self, net: &PetriNet, record_edges: bool) -> Snapshot {
-        let mut snap = Snapshot::new(EngineKind::Full, net);
-        let (g, tags) = (&self.graph, [section::STATES, section::EXPANDED]);
-        write_states(&mut snap, tags, net, &g.states, &g.expanded);
-
-        let mut w = ByteWriter::new();
-        w.u8(u8::from(record_edges));
-        for edges in &g.succ {
-            w.u32(edges.len() as u32);
-            for &(t, dst) in edges {
-                w.u32(t.index() as u32);
-                w.u32(dst);
+    /// Serializes this (typically partial) graph, explored under `rule`,
+    /// as a checkpoint snapshot: the state table (place count, state
+    /// count, each marking's place bits), the expanded flags, the rule's
+    /// identity, the deadlock ids and the counters (fired edges, elapsed
+    /// time), in tag order.
+    pub fn to_snapshot<R: Expansion>(&self, net: &PetriNet, rule: &R) -> Snapshot {
+        let (tags, g) = (R::TAGS, &self.graph);
+        let mut snap = Snapshot::new(R::KIND, net);
+        snap.push_with(tags.states, |w| {
+            w.u32(net.place_count() as u32);
+            w.usize(g.states.len());
+            for m in &g.states {
+                w.bits(m.as_bits());
             }
-        }
-        snap.push_section(section::EDGES, w.into_bytes());
-
-        let tags = [section::DEADLOCKS, section::COUNTERS];
-        let deadlocks = self.deadlocks.iter().map(|d| d.index());
-        write_deadlocks(&mut snap, tags, deadlocks, g.edge_count, self.elapsed);
+        });
+        snap.push_with(tags.expanded, |w| w.bools(&g.expanded));
+        snap.push_with(tags.identity, |w| rule.write_identity(w, &g.succ));
+        snap.push_with(tags.deadlocks, |w| {
+            w.usize(g.deadlocks.len());
+            for &d in &g.deadlocks {
+                w.u32(d);
+            }
+        });
+        snap.push_with(tags.counters, |w| {
+            w.usize(g.edge_count);
+            w.u64(self.elapsed.as_nanos() as u64);
+        });
+        snap.sections.sort_by_key(|s| s.tag);
         snap
     }
 
-    /// Rebuilds a (typically partial) graph from a snapshot, validating
-    /// the engine kind, net fingerprint, and every structural invariant of
-    /// the payload.
+    /// Rebuilds a (typically partial) graph from a snapshot taken under
+    /// `rule`, validating the engine kind, net fingerprint, the rule's
+    /// identity, and every structural invariant of the payload: same
+    /// place count, state 0 is the initial marking, no duplicate states,
+    /// one expanded flag per state, and every deadlock id names an
+    /// expanded state.
     ///
     /// # Errors
     ///
     /// Returns a typed [`CheckpointError`] when the snapshot belongs to a
-    /// different engine/net, was taken with a different `record_edges`
-    /// setting, or is internally inconsistent.
-    pub fn from_snapshot(
+    /// different engine/net, was taken under a different identity (say,
+    /// another `record_edges` setting), or is internally inconsistent.
+    pub fn from_snapshot<R: Expansion>(
         net: &PetriNet,
         snap: &Snapshot,
-        record_edges: bool,
+        rule: &R,
     ) -> Result<Self, CheckpointError> {
-        snap.validate(EngineKind::Full, net.fingerprint())?;
-        let (states, expanded) = read_states(snap, [section::STATES, section::EXPANDED], net)?;
-        let count = states.len();
+        let tags = R::TAGS;
+        snap.validate(R::KIND, net.fingerprint())?;
+        let section = |tag| snap.require_section(tag).map(|p| ByteReader::new(p, tag));
 
-        let mut r = ByteReader::new(snap.require_section(section::EDGES)?, section::EDGES);
-        let snap_recorded = r.u8()? != 0;
-        if snap_recorded != record_edges {
+        let mut r = section(tags.states)?;
+        let place_count = r.u32()? as usize;
+        if place_count != net.place_count() {
             return Err(r.malformed(format!(
-                "snapshot was taken with record_edges={snap_recorded}, run uses {record_edges}"
+                "snapshot has {place_count} places, net has {}",
+                net.place_count()
             )));
         }
-        let mut succ = Vec::with_capacity(count);
-        let mut recorded = 0usize;
+        let count = r.usize()?;
+        let mut states = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
-            let n = r.u32()? as usize;
-            let mut edges = Vec::with_capacity(n);
-            for _ in 0..n {
-                let t = r.u32()? as usize;
-                let dst = r.u32()? as usize;
-                if t >= net.transition_count() || dst >= count {
-                    return Err(r.malformed("edge references an out-of-range id"));
-                }
-                edges.push((TransitionId::new(t), dst as u32));
-            }
-            recorded += n;
-            succ.push(edges);
+            states.push(Marking::from_bits(r.bits(place_count)?));
+        }
+        if states.first() != Some(net.initial_marking()) {
+            return Err(r.malformed("state 0 is not the net's initial marking"));
+        }
+        let distinct: std::collections::HashSet<&Marking> = states.iter().collect();
+        if distinct.len() != count {
+            return Err(r.malformed("duplicate markings in state table"));
         }
         r.finish()?;
 
-        let tags = [section::DEADLOCKS, section::COUNTERS];
-        let (deadlocks, edge_count, elapsed) = read_deadlocks(snap, tags, &expanded)?;
-        if edge_count < recorded {
+        let mut r = section(tags.expanded)?;
+        let expanded = r.bools()?;
+        if expanded.len() != count {
+            return Err(r.malformed("expanded bitmap length disagrees with state count"));
+        }
+        r.finish()?;
+
+        let mut r = section(tags.identity)?;
+        let succ = rule.read_identity(&mut r, net, count)?;
+        r.finish()?;
+
+        let mut r = section(tags.deadlocks)?;
+        let n = r.usize()?;
+        let mut deadlocks = Vec::with_capacity(n.min(count));
+        for _ in 0..n {
+            let d = r.u32()?;
+            if !expanded.get(d as usize).copied().unwrap_or(false) {
+                return Err(r.malformed("deadlock id out of range or unexpanded"));
+            }
+            deadlocks.push(d);
+        }
+        r.finish()?;
+
+        let mut r = section(tags.counters)?;
+        let edge_count = r.usize()?;
+        let elapsed = Duration::from_nanos(r.u64()?);
+        r.finish()?;
+        if edge_count < succ.iter().map(Vec::len).sum() {
             return Err(CheckpointError::Malformed {
-                section: section::COUNTERS,
+                section: tags.counters,
                 detail: "edge count is below the number of recorded edges".into(),
             });
         }
 
         Ok(ReachabilityGraph {
+            deadlocks: deadlocks.iter().map(|&d| StateId(d)).collect(),
             graph: FrontierResult {
                 states,
                 expanded,
                 succ,
                 origin: Vec::new(),
-                deadlocks: deadlocks.iter().map(|&d| d as u32).collect(),
+                deadlocks,
                 edge_count,
             },
-            deadlocks: deadlocks.into_iter().map(StateId::new).collect(),
             elapsed,
             threads_used: 1,
         })
@@ -642,7 +841,9 @@ mod tests {
                 ReachabilityGraph::explore_bounded(&net, &opts, &Budget::default().cap_states(10))
                     .unwrap();
             assert!(!partial.is_complete(), "threads={threads}");
-            let snap = partial.value().to_snapshot(&net, true);
+            let snap = partial
+                .value()
+                .to_snapshot(&net, &FullExpansion { record_edges: true });
             let decoded = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
             let resumed = ReachabilityGraph::explore_checkpointed(
                 &net,
@@ -745,10 +946,19 @@ mod tests {
         let net = concurrent(3);
         let other = concurrent(4);
         let rg = ReachabilityGraph::explore(&net).unwrap();
-        let snap = rg.to_snapshot(&net, true);
-        let err = ReachabilityGraph::from_snapshot(&other, &snap, true).unwrap_err();
+        let snap = rg.to_snapshot(&net, &FullExpansion { record_edges: true });
+        let err =
+            ReachabilityGraph::from_snapshot(&other, &snap, &FullExpansion { record_edges: true })
+                .unwrap_err();
         assert!(matches!(err, CheckpointError::FingerprintMismatch { .. }));
-        let err = ReachabilityGraph::from_snapshot(&net, &snap, false).unwrap_err();
+        let err = ReachabilityGraph::from_snapshot(
+            &net,
+            &snap,
+            &FullExpansion {
+                record_edges: false,
+            },
+        )
+        .unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed { .. }));
     }
 

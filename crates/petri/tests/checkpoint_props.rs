@@ -4,7 +4,9 @@
 //! silently wrong verdict.
 
 use models::random::{random_safe_net, RandomNetConfig};
-use petri::{Budget, CheckpointConfig, ExploreOptions, Outcome, ReachabilityGraph, Snapshot};
+use petri::{
+    Budget, CheckpointConfig, ExploreOptions, FullExpansion, Outcome, ReachabilityGraph, Snapshot,
+};
 use proptest::prelude::*;
 
 fn cfg() -> RandomNetConfig {
@@ -45,7 +47,7 @@ proptest! {
             // the cap exceeded the whole state space: nothing to resume
             return Ok(());
         };
-        let bytes = result.to_snapshot(&net, true).to_bytes();
+        let bytes = result.to_snapshot(&net, &FullExpansion { record_edges: true }).to_bytes();
         let snap = Snapshot::from_bytes(&bytes).expect("own bytes decode");
         let resumed = ReachabilityGraph::explore_checkpointed(
             &net,
@@ -73,7 +75,7 @@ proptest! {
             &Budget::default().cap_states(3),
         )
         .expect("validated safe");
-        let mut bytes = partial.value().to_snapshot(&net, true).to_bytes();
+        let mut bytes = partial.value().to_snapshot(&net, &FullExpansion { record_edges: true }).to_bytes();
         let bit = bit % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
         let Ok(decoded) = Snapshot::from_bytes(&bytes) else {

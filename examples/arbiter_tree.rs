@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while k <= n {
         let net = models::asat(k);
         let full = ReachabilityGraph::explore(&net)?;
-        let po = ReducedReachability::explore(&net)?;
+        let po = ReducedReachability::explore_with(&net, &ReducedOptions::default())?;
         let gpo = analyze_with(
             &net,
             &GpoOptions {

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for k in (2..=n).step_by(2) {
         let net = models::nsdp(k);
         let full = ReachabilityGraph::explore(&net)?;
-        let po = ReducedReachability::explore(&net)?;
+        let po = ReducedReachability::explore_with(&net, &ReducedOptions::default())?;
         let gpo = analyze_with(
             &net,
             &GpoOptions {

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_full = t0.elapsed();
 
     let t0 = Instant::now();
-    let po = ReducedReachability::explore(&net)?;
+    let po = ReducedReachability::explore_with(&net, &ReducedOptions::default())?;
     let t_po = t0.elapsed();
 
     let t0 = Instant::now();

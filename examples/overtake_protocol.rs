@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for k in 1..=n {
         let net = models::overtake(k);
         let full = ReachabilityGraph::explore(&net)?;
-        let po = ReducedReachability::explore(&net)?;
+        let po = ReducedReachability::explore_with(&net, &ReducedOptions::default())?;
         let gpo = analyze(&net)?;
         // terminal states = one of 3 resolved outcomes per car
         let outcomes = full.deadlocks().len();

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Engine 2: stubborn-set partial-order reduction.
-    let reduced = ReducedReachability::explore(&net)?;
+    let reduced = ReducedReachability::explore_with(&net, &ReducedOptions::default())?;
     println!(
         "stubborn   : {} states, deadlock = {}",
         reduced.state_count(),

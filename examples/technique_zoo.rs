@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         full.state_count()
     );
 
-    let po = ReducedReachability::explore(&net)?;
+    let po = ReducedReachability::explore_with(&net, &ReducedOptions::default())?;
     println!(
         "stubborn reduction    : {:>6} states   (2^(N+1)-1 — choices survive)",
         po.state_count()

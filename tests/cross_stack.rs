@@ -89,7 +89,7 @@ proptest! {
         };
         let Some(net) = models::random::random_safe_net(seed, &cfg) else { return Ok(()); };
         let full = ReachabilityGraph::explore(&net).expect("validated safe");
-        let po = ReducedReachability::explore(&net).expect("validated safe");
+        let po = ReducedReachability::explore_with(&net, &ReducedOptions::default()).expect("validated safe");
         let bdd = SymbolicReachability::explore(&net);
         let Ok(gpo) = analyze_with(&net, &GpoOptions {
             valid_set_limit: 1 << 14,

@@ -33,7 +33,7 @@ fn fig1_eight_states_six_interleavings() {
 fn fig2_po_exponential_gpo_constant() {
     for n in 1..=8usize {
         let net = models::figures::fig2(n);
-        let po = ReducedReachability::explore(&net).unwrap();
+        let po = ReducedReachability::explore_with(&net, &ReducedOptions::default()).unwrap();
         assert_eq!(po.state_count(), (1 << (n + 1)) - 1, "2^(n+1)-1 at n={n}");
         let gpo = analyze(&net).unwrap();
         assert_eq!(gpo.state_count, 2, "the generalized analysis at n={n}");

@@ -7,7 +7,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use gpo_suite::prelude::*;
 use partial_order::StubbornSets;
-use petri::{CheckpointConfig, ExploreOptions};
+use petri::{CheckpointConfig, ExploreOptions, FullExpansion};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -83,8 +83,8 @@ fn reduced_graph_identical_across_thread_counts() {
                     },
                 )
                 .unwrap();
-                let states = marking_set(red.markings());
-                let deadlocks = marking_set(red.deadlock_markings());
+                let states = marking_set(red.states().map(|s| red.marking(s)));
+                let deadlocks = marking_set(red.deadlocks().iter().map(|&s| red.marking(s)));
                 let obs = (states, deadlocks, red.edge_count());
                 match &baseline {
                     None => baseline = Some(obs),
@@ -302,7 +302,9 @@ fn single_thread_ids_follow_an_independent_bfs() {
             ..Default::default()
         };
         let partial = ReachabilityGraph::explore_bounded(&net, &opts, &cap).unwrap();
-        let snap = partial.value().to_snapshot(&net, true);
+        let snap = partial
+            .value()
+            .to_snapshot(&net, &FullExpansion { record_edges: true });
         let resumed =
             ReachabilityGraph::explore_checkpointed(&net, &opts, &unbounded, &no_ckpt, Some(&snap));
         let whole = ReachabilityGraph::explore_with(&net, &opts).unwrap();
@@ -334,11 +336,15 @@ fn single_thread_ids_follow_an_independent_bfs() {
             };
             let red = ReducedReachability::explore_with(&net, &opts).unwrap();
             let tag = format!("{name}/{strategy:?}");
-            assert!(red.markings().eq(&states), "{tag}: marking per id");
+            let markings = red.states().map(|s| red.marking(s));
+            assert!(markings.eq(&states), "{tag}: marking per id");
             let dead = (0..states.len()).filter(|&i| edges[i].is_empty());
             let oracle_dead = dead.map(|i| &states[i]);
             assert!(
-                red.deadlock_markings().eq(oracle_dead),
+                red.deadlocks()
+                    .iter()
+                    .map(|&s| red.marking(s))
+                    .eq(oracle_dead),
                 "{tag}: deadlocks in id order"
             );
             let fired: usize = edges.iter().map(Vec::len).sum();

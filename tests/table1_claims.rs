@@ -17,7 +17,8 @@ fn nsdp_full_counts_exact() {
 /// NSDP(2) partial-order reduction: 12 states — exactly the paper's value.
 #[test]
 fn nsdp2_po_count_exact() {
-    let red = ReducedReachability::explore(&models::nsdp(2)).unwrap();
+    let red =
+        ReducedReachability::explore_with(&models::nsdp(2), &ReducedOptions::default()).unwrap();
     assert_eq!(red.state_count(), 12);
     assert!(red.has_deadlock());
 }
@@ -62,7 +63,7 @@ fn over_shape() {
         let net = models::overtake(n);
         let full = ReachabilityGraph::explore(&net).unwrap();
         assert_eq!(full.state_count(), 8usize.pow(n as u32));
-        let po = ReducedReachability::explore(&net).unwrap();
+        let po = ReducedReachability::explore_with(&net, &ReducedOptions::default()).unwrap();
         assert!(po.state_count() > last_po, "PO keeps growing");
         assert!(po.state_count() < full.state_count() || n == 1);
         last_po = po.state_count();
@@ -131,7 +132,9 @@ fn all_engines_agree_on_all_benchmarks() {
     ];
     for net in nets {
         let full = ReachabilityGraph::explore(&net).unwrap().has_deadlock();
-        let po = ReducedReachability::explore(&net).unwrap().has_deadlock();
+        let po = ReducedReachability::explore_with(&net, &ReducedOptions::default())
+            .unwrap()
+            .has_deadlock();
         let bdd = SymbolicReachability::explore(&net).has_deadlock();
         let gpo = analyze(&net).unwrap().deadlock_possible;
         assert_eq!(full, po, "{}: full vs po", net.name());
